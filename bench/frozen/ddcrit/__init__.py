@@ -1,0 +1,48 @@
+"""Exact combinatorics of double domination edge criticality on small graphs.
+
+The library computes double domination numbers, classifies edge criticality,
+decides factor criticality with two independent oracles, builds the relevant
+graph families, and machine-checks the structural claims over exhaustive
+small-graph corpora. Graphs live on at most 64 vertices and all operations
+are pure functions over immutable values.
+"""
+
+from .graphs import (
+    Graph,
+    Graph6Error,
+    IsoCertificate,
+    add_edge,
+    canonical_key,
+    closed_neighborhood,
+    complement,
+    components,
+    diameter,
+    from_graph6,
+    independence_number,
+    is_connected,
+    is_isomorphic,
+    is_k1r_free,
+    min_degree,
+    odd_component_count,
+    to_graph6,
+    vertex_connectivity,
+)
+from .domination import DdsWitness, GammaResult, all_minimum_dds, gamma_xk, is_k_tuple_dominating
+from .matching import (
+    FactorCriticalityVerdict,
+    ParityError,
+    has_perfect_matching,
+    is_k_factor_critical_direct,
+    is_k_factor_critical_favaron,
+    maximum_matching,
+)
+from .criticality import (
+    CriticalityReport,
+    check_lemma45_profile,
+    check_observation1,
+    criticality_report,
+)
+from .constructions import ConstructionSpec, clique_chain, h_6t, h_r33, is_in_family_H, sequential_join
+from .harness import Hypotheses, PropertyReport, ReportCache, analyze, scan
+
+__version__ = "0.1.0"

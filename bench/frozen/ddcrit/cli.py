@@ -1,0 +1,319 @@
+"""Command line front end.
+
+Graphs travel as graph6 text, one per line. JSONL records go to stdout and
+human summaries to stderr. Exit status: 0 when every check passed or was not
+applicable, 1 when any check failed, 2 on usage or decode errors.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from typing import Iterable, Optional
+
+from .constructions import ConstructionSpec
+from .criticality import FAIL
+from .domination import gamma_xk
+from .graphs import Graph6Error, from_graph6, to_graph6
+from .harness import (
+    Hypotheses,
+    ReportCache,
+    analyze,
+    default_corpus,
+    record_to_json,
+    scan,
+    verify_lemma1,
+    verify_lemma2,
+    verify_lemma3,
+    verify_obs1,
+    verify_theorem1,
+)
+from .matching import ParityError, is_k_factor_critical_direct
+
+OK, ANY_FAIL, USAGE = 0, 1, 2
+
+
+def _input_lines(source: Optional[str]) -> Iterable[str]:
+    if source is None or source == "-":
+        yield from sys.stdin
+    else:
+        with open(source, "r", encoding="ascii") as fh:
+            yield from fh
+
+
+def _graph_arg_lines(arg: str) -> Iterable[str]:
+    # positional argument is either a literal graph6 line or '-' for stdin
+    if arg == "-":
+        yield from sys.stdin
+    else:
+        yield arg
+
+
+def _emit(record: dict) -> None:
+    print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+
+
+def _cache_from(args) -> Optional[ReportCache]:
+    return ReportCache(args.cache) if getattr(args, "cache", None) else None
+
+
+def _cmd_analyze(args) -> int:
+    cache = _cache_from(args)
+    status = OK
+    for index, line in enumerate(_graph_arg_lines(args.graph)):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            g = from_graph6(text)
+        except Graph6Error as exc:
+            _emit({"input_index": index, "graph6": text, "error": str(exc)})
+            status = USAGE
+            continue
+        report = analyze(g, args.depth, cache=cache)
+        _emit({"input_index": index, "graph6": text, "report": report.to_json_dict()})
+    return status
+
+
+def _cmd_gamma2(args) -> int:
+    status = OK
+    for index, line in enumerate(_graph_arg_lines(args.graph)):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            g = from_graph6(text)
+        except Graph6Error as exc:
+            _emit({"input_index": index, "graph6": text, "error": str(exc)})
+            status = USAGE
+            continue
+        result = gamma_xk(g, 2)
+        record = {"input_index": index, "graph6": text, "feasible": result.feasible}
+        if result.feasible:
+            record["gamma2"] = result.size
+            record["witness"] = sorted(result.witness.vertices)
+        _emit(record)
+    return status
+
+
+def _cmd_critical(args) -> int:
+    from .criticality import criticality_report
+
+    status = OK
+    for index, line in enumerate(_graph_arg_lines(args.graph)):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            g = from_graph6(text)
+        except Graph6Error as exc:
+            _emit({"input_index": index, "graph6": text, "error": str(exc)})
+            status = USAGE
+            continue
+        try:
+            report = criticality_report(g)
+        except ValueError as exc:
+            _emit({"input_index": index, "graph6": text, "error": str(exc)})
+            status = USAGE
+            continue
+        _emit(
+            {
+                "input_index": index,
+                "graph6": text,
+                "gamma2": report.gamma2,
+                "critical": report.is_critical,
+                "vacuous": report.vacuous,
+                "per_nonedge": [
+                    {"u": e.u, "v": e.v, "gamma2_after": e.gamma2_after, "drop": e.drop}
+                    for e in report.per_nonedge
+                ],
+            }
+        )
+    return status
+
+
+def _cmd_factor_critical(args) -> int:
+    status = OK
+    for index, line in enumerate(_graph_arg_lines(args.graph)):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            g = from_graph6(text)
+        except Graph6Error as exc:
+            _emit({"input_index": index, "graph6": text, "error": str(exc)})
+            status = USAGE
+            continue
+        try:
+            verdict = is_k_factor_critical_direct(g, args.k)
+        except (ParityError, ValueError) as exc:
+            _emit({"input_index": index, "graph6": text, "error": str(exc)})
+            status = USAGE
+            continue
+        record = {"input_index": index, "graph6": text, "k": args.k, "holds": verdict.holds}
+        if verdict.witness_failure is not None:
+            record["witness_failure"] = sorted(verdict.witness_failure)
+        _emit(record)
+    return status
+
+
+def _cmd_construct(args) -> int:
+    if args.family == "seqjoin":
+        spec = ConstructionSpec("seq_join", (args.s, args.t))
+    elif args.family == "hr33":
+        spec = ConstructionSpec("h_r33", (args.r,))
+    else:
+        spec = ConstructionSpec("h_6t", (args.t,))
+    try:
+        g = spec.build()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    print(to_graph6(g))
+    return OK
+
+
+def _cmd_scan(args) -> int:
+    hypotheses = Hypotheses(
+        connected=args.connected,
+        odd_order=args.odd_order,
+        min_degree=args.min_degree,
+        min_connectivity=args.min_connectivity,
+        claw_free=args.claw_free,
+        k14_free=args.k14_free,
+        gamma2=args.gamma2,
+        critical=args.critical,
+    )
+    cache = _cache_from(args)
+    saw_fail = False
+    saw_error = False
+    emitted = 0
+    for record in scan(_input_lines(args.input), hypotheses, args.depth, args.workers, cache):
+        print(record_to_json(record))
+        emitted += 1
+        if "error" in record:
+            saw_error = True
+        for verdict in record.get("verdicts", {}).values():
+            if verdict.get("status") == FAIL:
+                saw_fail = True
+    print(f"scan: {emitted} records", file=sys.stderr)
+    if saw_error:
+        return USAGE
+    return ANY_FAIL if saw_fail else OK
+
+
+def _cmd_verify(args) -> int:
+    cache = _cache_from(args)
+    if args.input is not None:
+        graphs = []
+        for index, line in enumerate(_input_lines(args.input)):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                graphs.append(from_graph6(text))
+            except Graph6Error as exc:
+                print(f"error: line {index}: {exc}", file=sys.stderr)
+                return USAGE
+        corpus = iter(graphs)
+    else:
+        corpus = default_corpus(args.check, args.max_order)
+    runner = {
+        "lemma1": verify_lemma1,
+        "lemma2": verify_lemma2,
+        "lemma3": verify_lemma3,
+        "obs1": verify_obs1,
+        "theorem1": verify_theorem1,
+    }[args.check]
+    summary = runner(corpus, cache=cache)
+    _emit(
+        {
+            "check": summary.name,
+            "examined": summary.examined,
+            "passed": summary.passed,
+            "failed": summary.failed,
+            "not_applicable": summary.not_applicable,
+            "violations": summary.violations,
+            "extras": summary.extras,
+        }
+    )
+    print(summary.describe(), file=sys.stderr)
+    return OK if summary.ok else ANY_FAIL
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ddcrit",
+        description="Exact double domination criticality and factor criticality toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analyze", help="property report for graph6 input")
+    p.add_argument("graph", help="a graph6 line, or '-' to read lines from stdin")
+    p.add_argument("--depth", choices=("fast", "full"), default="full")
+    p.add_argument("--cache", help="JSONL report cache file")
+    p.set_defaults(func=_cmd_analyze)
+
+    p = sub.add_parser("gamma2", help="double domination number")
+    p.add_argument("graph", nargs="?", default="-")
+    p.set_defaults(func=_cmd_gamma2)
+
+    p = sub.add_parser("critical", help="edge-criticality report")
+    p.add_argument("graph", nargs="?", default="-")
+    p.set_defaults(func=_cmd_critical)
+
+    p = sub.add_parser("factor-critical", help="k-factor-criticality, direct test")
+    p.add_argument("graph", nargs="?", default="-")
+    p.add_argument("--k", type=int, required=True)
+    p.set_defaults(func=_cmd_factor_critical)
+
+    p = sub.add_parser("construct", help="emit a family member as graph6")
+    fam = p.add_subparsers(dest="family", required=True)
+    q = fam.add_parser("seqjoin", help="clique chain 1,s,t,1")
+    q.add_argument("--s", type=int, required=True)
+    q.add_argument("--t", type=int, required=True)
+    q = fam.add_parser("hr33", help="exceptional family member of order r+6")
+    q.add_argument("--r", type=int, required=True)
+    q = fam.add_parser("h6t", help="sharpness example of order t+6")
+    q.add_argument("--t", type=int, required=True)
+    p.set_defaults(func=_cmd_construct)
+
+    p = sub.add_parser("scan", help="filter graph6 lines and emit JSONL records")
+    p.add_argument("input", nargs="?", default=None, help="graph6 file, default stdin")
+    p.add_argument("--depth", choices=("fast", "full"), default="full")
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--cache", help="JSONL report cache file")
+    p.add_argument("--connected", action="store_true")
+    p.add_argument("--odd-order", action="store_true")
+    p.add_argument("--min-degree", type=int, default=None)
+    p.add_argument("--min-connectivity", type=int, default=None)
+    p.add_argument("--claw-free", action="store_true")
+    p.add_argument("--k14-free", action="store_true")
+    p.add_argument("--gamma2", type=int, default=None)
+    p.add_argument("--critical", action="store_true")
+    p.set_defaults(func=_cmd_scan)
+
+    p = sub.add_parser("verify", help="run a named exhaustive campaign")
+    p.add_argument("check", choices=("lemma1", "lemma2", "lemma3", "obs1", "theorem1"))
+    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--input", help="graph6 corpus file overriding the built-in enumeration")
+    p.add_argument("--cache", help="JSONL report cache file")
+    p.set_defaults(func=_cmd_verify)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify" and args.max_order is None:
+        args.max_order = 9 if args.check == "theorem1" else 8
+    try:
+        return args.func(args)
+    except BrokenPipeError:  # downstream closed the pipe, not an error
+        return OK
+
+
+if __name__ == "__main__":  # pragma: no cover
+    sys.exit(main())

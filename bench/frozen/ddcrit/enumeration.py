@@ -1,0 +1,135 @@
+"""Built-in isomorph-free enumeration of small graphs.
+
+Two generators:
+
+* :func:`naive_all_graphs` walks every labeled graph and deduplicates by
+  canonical key. Exact and simple, usable up to 6 vertices.
+* :func:`enumerate_graphs` grows graphs one vertex at a time: every class on
+  k+1 vertices arises from some class on k vertices by attaching a new vertex
+  with some neighborhood, because deleting any vertex of the bigger graph
+  lands in the smaller level. Candidates are deduplicated per level by
+  canonical key.
+
+The augmentation generator accepts two sound prunes:
+
+* ``claw_free``: induced subgraphs of claw-free graphs are claw-free, so a
+  level-k graph with a claw has no claw-free descendant. Candidates are
+  pre-screened by looking only at claws touching the new vertex.
+* ``final_min_degree`` d with target order n: deleting n-k vertices lowers a
+  degree by at most n-k, so any ancestor of a final graph with minimum degree
+  d satisfies deg(v) + (n-k) >= d at level k. States failing that are dead.
+
+Results are sorted by canonical key, so output order is deterministic.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterator, Optional
+
+from .graphs import MAX_VERTICES, Graph, _bits, _canonical, canonical_key, is_connected
+
+NAIVE_MAX_VERTICES = 6
+
+
+def naive_all_graphs(n: int) -> list[Graph]:
+    """All graphs on n vertices up to isomorphism, by labeled enumeration."""
+    if not 1 <= n <= NAIVE_MAX_VERTICES:
+        raise ValueError(f"naive enumeration supports 1..{NAIVE_MAX_VERTICES} vertices")
+    pairs = list(itertools.combinations(range(n), 2))
+    seen: dict[bytes, Graph] = {}
+    for mask in range(1 << len(pairs)):
+        rows = [0] * n
+        for idx, (u, v) in enumerate(pairs):
+            if mask >> idx & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        g = Graph(n, tuple(rows))
+        key = canonical_key(g)
+        if key not in seen:
+            seen[key] = g
+    return [seen[k] for k in sorted(seen)]
+
+
+def _claw_touching(rows: list[int], v: int) -> bool:
+    """Does the graph contain an induced 3-leaf star using vertex v?"""
+    nv = rows[v]
+    # v as the center: three pairwise-nonadjacent neighbors
+    for a in _bits(nv):
+        rest_a = nv & ~rows[a] & ~((1 << (a + 1)) - 1)
+        for b in _bits(rest_a):
+            if rest_a & ~rows[b] & ~((1 << (b + 1)) - 1):
+                return True
+    # v as a leaf: a neighbor u with two nonadjacent neighbors outside N[v]
+    for u in _bits(nv):
+        pool = rows[u] & ~nv & ~(1 << v)
+        for a in _bits(pool):
+            if pool & ~rows[a] & ~((1 << (a + 1)) - 1):
+                return True
+    return False
+
+
+def _extensions(parent: Graph, claw_free: bool, degree_floor: Optional[int]):
+    k = parent.n
+    new = k  # label of the added vertex
+    for nbhd in range(1 << k):
+        rows = [r | ((nbhd >> v & 1) << new) for v, r in enumerate(parent.rows)]
+        rows.append(nbhd)
+        if claw_free and _claw_touching(rows, new):
+            continue
+        if degree_floor is not None and any(r.bit_count() < degree_floor for r in rows):
+            continue
+        yield Graph(k + 1, tuple(rows))
+
+
+def _levels(n: int, claw_free: bool, final_min_degree: Optional[int]) -> Iterator[list[Graph]]:
+    level = [Graph.empty(1)]
+    yield level
+    for k in range(2, n + 1):
+        floor = None
+        if final_min_degree is not None:
+            floor = final_min_degree - (n - k)
+            floor = floor if floor > 0 else None
+        seen: dict[tuple[int, ...], Graph] = {}
+        for parent in level:
+            for child in _extensions(parent, claw_free, floor):
+                code, _ = _canonical(child.rows, child.n)
+                if code not in seen:
+                    seen[code] = Graph(child.n, code)
+        level = [seen[code] for code in sorted(seen)]
+        yield level
+
+
+def enumerate_graphs(
+    n: int,
+    *,
+    claw_free: bool = False,
+    final_min_degree: Optional[int] = None,
+    connected: bool = False,
+) -> list[Graph]:
+    """All graphs on n vertices up to isomorphism, optionally constrained.
+
+    With ``claw_free`` only claw-free graphs are produced (and the search
+    space collapses accordingly); with ``final_min_degree`` only graphs whose
+    minimum degree reaches that bound. ``connected`` filters the output.
+    """
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError("vertex count out of range")
+    for level in _levels(n, claw_free, final_min_degree):
+        out = level
+    if final_min_degree is not None:
+        out = [g for g in out if min(r.bit_count() for r in g.rows) >= final_min_degree]
+    if connected:
+        out = [g for g in out if is_connected(g)]
+    return out
+
+
+def graphs_upto(n: int, *, claw_free: bool = False) -> dict[int, list[Graph]]:
+    """Every isomorphism class on 1..n vertices, grouped by order."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError("vertex count out of range")
+    return {k: level for k, level in enumerate(_levels(n, claw_free, None), start=1)}
+
+
+def connected_graphs(n: int, **kwargs) -> list[Graph]:
+    return enumerate_graphs(n, connected=True, **kwargs)

@@ -1,0 +1,592 @@
+"""Immutable bitset graphs and the exact structural predicates built on them.
+
+Everything in this package works on simple undirected graphs with at most 64
+vertices, so one adjacency row fits in a machine word and neighborhood algebra
+is plain integer arithmetic. Graphs are hashable value objects; every
+operation returns a fresh graph, which makes all of this safe to call from
+concurrent workers.
+
+graph6 is the only interchange format: one graph per line, header-less short
+form for n <= 62 plus the '~'-prefixed long form, bit-exact with the published
+encoding.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Optional
+
+MAX_VERTICES = 64
+
+
+class Graph6Error(ValueError):
+    """Malformed graph6 input; ``offset`` is the byte position of the defect."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} at byte {offset}")
+        self.offset = offset
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True, slots=True)
+class Graph:
+    """Simple undirected graph on vertices 0..n-1 with bitmask adjacency rows."""
+
+    n: int
+    rows: tuple[int, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_VERTICES:
+            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {self.n}")
+        rows = tuple(self.rows)
+        object.__setattr__(self, "rows", rows)
+        if len(rows) != self.n:
+            raise ValueError("adjacency row count does not match vertex count")
+        full = (1 << self.n) - 1
+        for v, row in enumerate(rows):
+            if row & ~full:
+                raise ValueError(f"row {v} mentions vertices outside 0..{self.n - 1}")
+            if (row >> v) & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+            for u in _bits(row):
+                if not (rows[u] >> v) & 1:
+                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+
+    # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def from_edges(cls, n: int, edges) -> "Graph":
+        rows = [0] * n
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop ({u},{v})")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return cls(n, tuple(rows))
+
+    @classmethod
+    def empty(cls, n: int) -> "Graph":
+        return cls(n, (0,) * n)
+
+    @classmethod
+    def complete(cls, n: int) -> "Graph":
+        full = (1 << n) - 1
+        return cls(n, tuple(full ^ (1 << v) for v in range(n)))
+
+    @classmethod
+    def path(cls, n: int) -> "Graph":
+        return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+    @classmethod
+    def cycle(cls, n: int) -> "Graph":
+        if n < 3:
+            raise ValueError("cycle needs at least 3 vertices")
+        return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+    @classmethod
+    def star(cls, leaves: int) -> "Graph":
+        return cls.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+    # -- basic accessors ----------------------------------------------------
+
+    def check_vertex(self, v: int) -> None:
+        if not (0 <= v < self.n):
+            raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
+
+    def adjacent(self, u: int, v: int) -> bool:
+        self.check_vertex(u)
+        self.check_vertex(v)
+        return bool((self.rows[u] >> v) & 1)
+
+    def degree(self, v: int) -> int:
+        self.check_vertex(v)
+        return self.rows[v].bit_count()
+
+    def neighbors(self, v: int) -> frozenset:
+        self.check_vertex(v)
+        return frozenset(_bits(self.rows[v]))
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(u, v) for u in range(self.n) for v in _bits(self.rows[u] >> (u + 1) << (u + 1))]
+
+    def edge_count(self) -> int:
+        return sum(r.bit_count() for r in self.rows) // 2
+
+    def is_complete(self) -> bool:
+        return self.edge_count() == self.n * (self.n - 1) // 2
+
+    def non_edges(self) -> list[tuple[int, int]]:
+        out = []
+        for u in range(self.n):
+            missing = ~self.rows[u] & ((1 << self.n) - 1) & ~((1 << (u + 1)) - 1)
+            out.extend((u, v) for v in _bits(missing))
+        return out
+
+    def __repr__(self):  # pragma: no cover - debugging aid
+        return f"Graph(n={self.n}, edges={self.edges()})"
+
+
+# -- graph6 codec ------------------------------------------------------------
+
+
+def from_graph6(text: str) -> Graph:
+    """Decode one graph6 line. Raises :class:`Graph6Error` naming the bad byte."""
+    line = text.rstrip("\r\n")
+    if not line:
+        raise Graph6Error("empty graph6 line", 0)
+    try:
+        data = line.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error("non-ASCII byte", exc.start) from None
+    for i, b in enumerate(data):
+        if not 63 <= b <= 126:
+            raise Graph6Error(f"byte {b} outside graph6 range 63..126", i)
+    if data[0] == 126:  # long form '~'
+        if len(data) >= 2 and data[1] == 126:
+            raise Graph6Error("vertex count exceeds 64", 1)
+        if len(data) < 4:
+            raise Graph6Error("truncated long-form vertex count", len(data))
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        body = 4
+    else:
+        n = data[0] - 63
+        body = 1
+    if n == 0:
+        raise Graph6Error("empty graphs are not supported", 0)
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"vertex count {n} exceeds {MAX_VERTICES}", body - 1 if body > 1 else 0)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - body < nbytes:
+        raise Graph6Error("truncated edge bit body", len(data))
+    if len(data) - body > nbytes:
+        raise Graph6Error("trailing bytes after edge bit body", body + nbytes)
+    rows = [0] * n
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (data[body + (k // 6)] - 63) >> (5 - k % 6) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            k += 1
+    return Graph(n, tuple(rows))
+
+
+def to_graph6(g: Graph) -> str:
+    """Encode a graph as one header-less graph6 line (without the newline)."""
+    n = g.n
+    if n <= 62:
+        head = [n + 63]
+    else:
+        head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+    out = list(head)
+    acc = 0
+    nb = 0
+    for j in range(1, n):
+        row = g.rows[j]
+        for i in range(j):
+            acc = (acc << 1) | ((row >> i) & 1)
+            nb += 1
+            if nb == 6:
+                out.append(acc + 63)
+                acc = 0
+                nb = 0
+    if nb:
+        out.append((acc << (6 - nb)) + 63)
+    return bytes(out).decode("ascii")
+
+
+# -- elementary operations ---------------------------------------------------
+
+
+def add_edge(g: Graph, u: int, v: int) -> Graph:
+    """Return a copy of ``g`` with the extra edge uv."""
+    g.check_vertex(u)
+    g.check_vertex(v)
+    if u == v:
+        raise ValueError("cannot add a self-loop")
+    if g.adjacent(u, v):
+        raise ValueError(f"edge ({u},{v}) already present")
+    rows = list(g.rows)
+    rows[u] |= 1 << v
+    rows[v] |= 1 << u
+    return Graph(g.n, tuple(rows))
+
+
+def complement(g: Graph) -> Graph:
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(~r & full & ~(1 << v) for v, r in enumerate(g.rows)))
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Apply a vertex permutation: vertex v of ``g`` becomes ``perm[v]``."""
+    perm = tuple(perm)
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("not a permutation of the vertex range")
+    rows = [0] * g.n
+    for v, row in enumerate(g.rows):
+        m = 0
+        for u in _bits(row):
+            m |= 1 << perm[u]
+        rows[perm[v]] = m
+    return Graph(g.n, tuple(rows))
+
+
+def closed_neighborhood(g: Graph, v: int) -> frozenset:
+    g.check_vertex(v)
+    return frozenset(_bits(g.rows[v] | (1 << v)))
+
+
+def min_degree(g: Graph) -> int:
+    return min(r.bit_count() for r in g.rows)
+
+
+def _vertex_mask(g: Graph, vertices) -> int:
+    m = 0
+    for v in vertices:
+        g.check_vertex(v)
+        m |= 1 << v
+    return m
+
+
+def _component_masks(g: Graph, removed_mask: int = 0) -> list[int]:
+    alive = ((1 << g.n) - 1) & ~removed_mask
+    comps = []
+    while alive:
+        seed = alive & -alive
+        comp = seed
+        frontier = seed
+        while frontier:
+            grow = 0
+            for v in _bits(frontier):
+                grow |= g.rows[v]
+            frontier = grow & alive & ~comp
+            comp |= frontier
+        comps.append(comp)
+        alive &= ~comp
+    return comps
+
+
+def components(g: Graph, removed=frozenset()) -> list[frozenset]:
+    """Connected components of ``g`` minus ``removed``, ordered by least vertex."""
+    masks = _component_masks(g, _vertex_mask(g, removed))
+    return [frozenset(_bits(m)) for m in masks]
+
+
+def is_connected(g: Graph) -> bool:
+    return len(_component_masks(g)) == 1
+
+
+def odd_component_count(g: Graph, removed=frozenset()) -> int:
+    removed_mask = _vertex_mask(g, removed)
+    return sum(1 for m in _component_masks(g, removed_mask) if m.bit_count() % 2)
+
+
+def _bfs_distances(g: Graph, source: int) -> list[int]:
+    dist = [-1] * g.n
+    dist[source] = 0
+    seen = 1 << source
+    frontier = seen
+    d = 0
+    while frontier:
+        grow = 0
+        for v in _bits(frontier):
+            grow |= g.rows[v]
+        frontier = grow & ~seen
+        seen |= frontier
+        d += 1
+        for v in _bits(frontier):
+            dist[v] = d
+    return dist
+
+
+def diameter(g: Graph) -> Optional[int]:
+    """Greatest BFS distance over all pairs; ``None`` when disconnected."""
+    best = 0
+    for s in range(g.n):
+        dist = _bfs_distances(g, s)
+        far = max(dist)
+        if -1 in dist:
+            return None
+        best = max(best, far)
+    return best
+
+
+# -- vertex connectivity via vertex-split max flow ---------------------------
+
+
+def _unit_flow(g: Graph, s: int, t: int) -> int:
+    """Number of internally vertex-disjoint s-t paths (s,t nonadjacent)."""
+    # Split every vertex v into 2v -> 2v+1 with capacity 1; undirected edges
+    # become a pair of infinite arcs between the split halves.
+    big = g.n
+    size = 2 * g.n
+    cap = [[0] * size for _ in range(size)]
+    adj = [[] for _ in range(size)]
+
+    def arc(a, b, c):
+        if not adj[a].count(b):
+            adj[a].append(b)
+            adj[b].append(a)
+        cap[a][b] += c
+
+    for v in range(g.n):
+        arc(2 * v, 2 * v + 1, 1)
+    for u, v in g.edges():
+        arc(2 * u + 1, 2 * v, big)
+        arc(2 * v + 1, 2 * u, big)
+    source, sink = 2 * s + 1, 2 * t
+    flow = 0
+    while True:
+        parent = [-1] * size
+        parent[source] = source
+        queue = [source]
+        while queue and parent[sink] == -1:
+            nxt = []
+            for a in queue:
+                for b in adj[a]:
+                    if parent[b] == -1 and cap[a][b] > 0:
+                        parent[b] = a
+                        nxt.append(b)
+            queue = nxt
+        if parent[sink] == -1:
+            return flow
+        b = sink
+        while b != source:
+            a = parent[b]
+            cap[a][b] -= 1
+            cap[b][a] += 1
+            b = a
+        flow += 1
+
+
+def vertex_connectivity(g: Graph) -> int:
+    """Minimum number of vertices whose removal disconnects the graph.
+
+    Complete graphs return n-1 by convention. Requires n >= 2.
+    """
+    if g.n < 2:
+        raise ValueError("vertex connectivity needs at least 2 vertices")
+    if g.is_complete():
+        return g.n - 1
+    best = g.n - 1
+    for u, v in itertools.combinations(range(g.n), 2):
+        if not g.adjacent(u, v):
+            best = min(best, _unit_flow(g, u, v))
+            if best == 0:
+                return 0
+    return best
+
+
+# -- induced stars -----------------------------------------------------------
+
+
+class StarWitness(NamedTuple):
+    center: int
+    leaves: tuple[int, ...]
+
+
+def _independent_tuple(g: Graph, candidates: int, size: int) -> Optional[tuple[int, ...]]:
+    """Lexicographically least pairwise-nonadjacent ``size``-tuple inside a mask."""
+    if size == 0:
+        return ()
+    for v in _bits(candidates):
+        rest = candidates & ~g.rows[v] & ~((1 << (v + 1)) - 1)
+        tail = _independent_tuple(g, rest, size - 1)
+        if tail is not None:
+            return (v,) + tail
+    return None
+
+
+def is_k1r_free(g: Graph, r: int):
+    """Test for induced stars with ``r`` leaves.
+
+    Returns ``(True, None)`` when no vertex has r pairwise-nonadjacent
+    neighbors, else ``(False, StarWitness(center, leaves))`` for the least
+    witness.
+    """
+    if r < 2:
+        raise ValueError("star order r must be at least 2")
+    for center in range(g.n):
+        leaves = _independent_tuple(g, g.rows[center], r)
+        if leaves is not None:
+            return False, StarWitness(center, leaves)
+    return True, None
+
+
+def independence_number(g: Graph) -> tuple[int, frozenset]:
+    """Exact independence number with one maximum independent set."""
+    best_size = 0
+    best_mask = 0
+
+    def expand(cand: int, cur_mask: int, cur_size: int):
+        nonlocal best_size, best_mask
+        if cur_size + cand.bit_count() <= best_size:
+            return
+        if not cand:
+            best_size, best_mask = cur_size, cur_mask
+            return
+        # branch on the vertex with most neighbors among the candidates
+        v = max(_bits(cand), key=lambda u: ((g.rows[u] & cand).bit_count(), -u))
+        expand(cand & ~g.rows[v] & ~(1 << v), cur_mask | (1 << v), cur_size + 1)
+        expand(cand & ~(1 << v), cur_mask, cur_size)
+
+    expand((1 << g.n) - 1, 0, 0)
+    return best_size, frozenset(_bits(best_mask))
+
+
+# -- canonical labeling and isomorphism --------------------------------------
+
+
+def _equitable_refine(rows: tuple[int, ...], n: int, colors: list[int]) -> list[int]:
+    """Refine a coloring by iterated neighbor-color counting until stable.
+
+    Output colors are dense 0..k-1 and respect the input order (a vertex with
+    a smaller input color never ends up with a larger output color than a
+    cellmate would allow), which keeps the procedure relabeling-invariant.
+    """
+    while True:
+        masks: dict[int, int] = {}
+        for v in range(n):
+            masks[colors[v]] = masks.get(colors[v], 0) | (1 << v)
+        cell_masks = [masks[c] for c in sorted(masks)]
+        sigs = []
+        for v in range(n):
+            rv = rows[v]
+            sigs.append((colors[v], tuple((rv & m).bit_count() for m in cell_masks)))
+        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if new == colors:
+            return new
+        colors = new
+
+
+def _canonical(rows: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Canonical adjacency rows plus a permutation achieving them.
+
+    Backtracks over every refinement cell, individualizing each vertex in
+    the first smallest non-singleton cell, and keeps the lexicographically
+    least relabeled adjacency. Automorphisms discovered at equal leaves
+    prune branches that merely permute an already-explored subtree.
+    """
+    best_code: Optional[tuple[int, ...]] = None
+    best_perm: Optional[tuple[int, ...]] = None
+    best_inv: Optional[list[int]] = None
+    auts: list[tuple[int, ...]] = []
+    identity = tuple(range(n))
+
+    def relabeled(perm: list[int]) -> tuple[int, ...]:
+        out = [0] * n
+        for v in range(n):
+            m = 0
+            row = rows[v]
+            while row:
+                low = row & -row
+                m |= 1 << perm[low.bit_length() - 1]
+                row ^= low
+            out[perm[v]] = m
+        return tuple(out)
+
+    def handle_leaf(colors: list[int]):
+        nonlocal best_code, best_perm, best_inv
+        code = relabeled(colors)
+        if best_code is None or code < best_code:
+            best_code = code
+            best_perm = tuple(colors)
+            inv = [0] * n
+            for v, p in enumerate(colors):
+                inv[p] = v
+            best_inv = inv
+        elif code == best_code:
+            sigma = tuple(best_inv[colors[v]] for v in range(n))
+            if sigma != identity and sigma not in auts:
+                auts.append(sigma)
+
+    def dfs(colors: list[int], prefix: tuple[int, ...]):
+        colors = _equitable_refine(rows, n, colors)
+        if max(colors) == n - 1:
+            handle_leaf(colors)
+            return
+        counts: dict[int, int] = {}
+        for c in colors:
+            counts[c] = counts.get(c, 0) + 1
+        target = min((c for c, k in counts.items() if k > 1), key=lambda c: (counts[c], c))
+        cell = [v for v in range(n) if colors[v] == target]
+        tried: list[int] = []
+        for v in cell:
+            if tried:
+                # skip v when a known automorphism fixing the individualized
+                # prefix maps an already-explored sibling onto it
+                parent = list(range(n))
+
+                def find(x):
+                    while parent[x] != x:
+                        parent[x] = parent[parent[x]]
+                        x = parent[x]
+                    return x
+
+                for sigma in auts:
+                    if all(sigma[p] == p for p in prefix):
+                        for a in range(n):
+                            ra, rb = find(a), find(sigma[a])
+                            if ra != rb:
+                                parent[ra] = rb
+                if any(find(u) == find(v) for u in tried):
+                    continue
+            tried.append(v)
+            child = [c * 2 for c in colors]
+            child[v] -= 1
+            dfs(child, prefix + (v,))
+
+    dfs([0] * n, ())
+    assert best_code is not None and best_perm is not None
+    return best_code, best_perm
+
+
+def canonical_key(g: Graph) -> bytes:
+    """Isomorphism-invariant key: the graph6 line of the canonical relabeling."""
+    code, _ = _canonical(g.rows, g.n)
+    return to_graph6(Graph(g.n, code)).encode("ascii")
+
+
+def canonical_graph(g: Graph) -> Graph:
+    code, _ = _canonical(g.rows, g.n)
+    return Graph(g.n, code)
+
+
+@dataclass(frozen=True, slots=True)
+class IsoCertificate:
+    """Vertex bijection witnessing an isomorphism, or ``None`` when there is none."""
+
+    mapping: Optional[tuple[int, ...]]
+
+    def __bool__(self) -> bool:
+        return self.mapping is not None
+
+
+def is_isomorphic(g: Graph, h: Graph) -> IsoCertificate:
+    """Certificate-producing isomorphism test; the mapping is verified edge-exactly."""
+    if g.n != h.n or g.edge_count() != h.edge_count():
+        return IsoCertificate(None)
+    code_g, perm_g = _canonical(g.rows, g.n)
+    code_h, perm_h = _canonical(h.rows, h.n)
+    if code_g != code_h:
+        return IsoCertificate(None)
+    inv_h = [0] * h.n
+    for v, p in enumerate(perm_h):
+        inv_h[p] = v
+    mapping = tuple(inv_h[perm_g[v]] for v in range(g.n))
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.adjacent(u, v) != h.adjacent(mapping[u], mapping[v]):
+                raise RuntimeError("canonical labeling produced a non-isomorphism")
+    return IsoCertificate(mapping)

@@ -1,0 +1,667 @@
+"""Scan pipeline: per-graph property reports, named structural checks, the
+verification campaigns, and a JSONL report cache.
+
+Reports are computed in two phases ordered by cost (degree, connectivity,
+claws, diameter, then the domination solver, criticality, factor criticality
+and family membership), so hypothesis filtering can stop early. Scan output
+is JSONL, one record per surviving input line, deterministic for a fixed
+input order and flag set regardless of worker count; wall-clock timings are
+kept on the in-memory objects only and never serialized.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Iterable, Iterator, Optional
+
+from . import criticality as crit
+from .constructions import clique_chain, is_in_family_H
+from .criticality import FAIL, NOT_APPLICABLE, PASS
+from .domination import gamma_xk
+from .enumeration import connected_graphs
+from .graphs import (
+    Graph,
+    Graph6Error,
+    canonical_key,
+    components,
+    diameter,
+    from_graph6,
+    independence_number,
+    is_connected,
+    is_k1r_free,
+    min_degree,
+    vertex_connectivity,
+)
+from .matching import is_k_factor_critical_direct
+
+CHECK_NAMES = ("lemma1", "lemma2", "lemma3", "obs1", "theorem1")
+
+# The per-non-edge solver runs are the expensive part of a corpus sweep and
+# several checks need the same report, so memoize on the immutable graph.
+_criticality_report = lru_cache(maxsize=1 << 18)(crit.criticality_report)
+
+
+@dataclass
+class PropertyReport:
+    """All computed invariants of one graph. ``elapsed_ms`` is bookkeeping
+    only: excluded from serialization and comparison."""
+
+    canonical_id: str
+    order: int
+    min_degree: int
+    connectivity: int
+    diameter: Optional[int]
+    claw_free: bool
+    k14_free: bool
+    depth: str
+    gamma2: Optional[int] = None
+    critical: Optional[bool] = None
+    factor_critical: Optional[dict[int, Optional[bool]]] = None
+    in_family_H: Optional[bool] = None
+    elapsed_ms: float = field(default=0.0, compare=False)
+
+    def to_json_dict(self) -> dict:
+        out = {
+            "canonical_id": self.canonical_id,
+            "order": self.order,
+            "min_degree": self.min_degree,
+            "connectivity": self.connectivity,
+            "diameter": self.diameter,
+            "claw_free": self.claw_free,
+            "k14_free": self.k14_free,
+            "depth": self.depth,
+        }
+        if self.depth == "full":
+            out["gamma2"] = self.gamma2
+            out["critical"] = self.critical
+            out["factor_critical"] = {str(k): v for k, v in (self.factor_critical or {}).items()}
+            out["in_family_H"] = self.in_family_H
+        return out
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "PropertyReport":
+        fc = data.get("factor_critical")
+        return cls(
+            canonical_id=data["canonical_id"],
+            order=data["order"],
+            min_degree=data["min_degree"],
+            connectivity=data["connectivity"],
+            diameter=data["diameter"],
+            claw_free=data["claw_free"],
+            k14_free=data["k14_free"],
+            depth=data["depth"],
+            gamma2=data.get("gamma2"),
+            critical=data.get("critical"),
+            factor_critical={int(k): v for k, v in fc.items()} if fc is not None else None,
+            in_family_H=data.get("in_family_H"),
+        )
+
+
+def analyze(g: Graph, depth: str = "full", cache: Optional["ReportCache"] = None) -> PropertyReport:
+    """Compute the property report, cheap fields first.
+
+    ``fast`` stops after the structural filters; ``full`` adds the double
+    domination number, criticality, factor criticality for deletion sizes 1
+    and 3, and membership in the exceptional family. Only full reports are
+    cached. Single-vertex graphs record connectivity 0 (they are complete, and
+    complete graphs carry the n-1 convention).
+    """
+    if depth not in ("fast", "full"):
+        raise ValueError("depth must be 'fast' or 'full'")
+    start = time.perf_counter()
+    key = canonical_key(g).decode("ascii")
+    if cache is not None and depth == "full":
+        hit = cache.lookup(key)
+        if hit is not None:
+            return hit
+    connectivity = 0 if g.n == 1 else vertex_connectivity(g)
+    claw_free, _ = is_k1r_free(g, 3)
+    k14_free, _ = is_k1r_free(g, 4)
+    report = PropertyReport(
+        canonical_id=key,
+        order=g.n,
+        min_degree=min_degree(g),
+        connectivity=connectivity,
+        diameter=diameter(g),
+        claw_free=claw_free,
+        k14_free=k14_free,
+        depth=depth,
+    )
+    if depth == "full":
+        gamma = gamma_xk(g, 2)
+        report.gamma2 = gamma.size if gamma.feasible else None
+        if gamma.feasible and is_connected(g):
+            report.critical = _criticality_report(g).is_critical
+        fc: dict[int, Optional[bool]] = {}
+        for k in (1, 3):
+            if k <= g.n and (g.n - k) % 2 == 0:
+                fc[k] = is_k_factor_critical_direct(g, k).holds
+            else:
+                fc[k] = None
+        report.factor_critical = fc
+        report.in_family_H = is_in_family_H(g)
+    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
+    if cache is not None and depth == "full":
+        cache.store(key, report)
+    return report
+
+
+# -- named checks -------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _clique_chain_keys(n: int) -> dict[bytes, tuple[int, int]]:
+    """Canonical keys of the 1,s,t,1 clique chains of order n."""
+    out: dict[bytes, tuple[int, int]] = {}
+    for s in range(1, n - 2):
+        t = n - 2 - s
+        if t >= 1 and s <= t:
+            out[canonical_key(clique_chain(1, s, t, 1))] = (s, t)
+    return out
+
+
+def matching_clique_chain(g: Graph) -> Optional[tuple[int, int]]:
+    """The (s,t) with g isomorphic to the 1,s,t,1 clique chain, if any."""
+    if g.n < 4:
+        return None
+    return _clique_chain_keys(g.n).get(canonical_key(g))
+
+
+def _verdict(status: str, witness: Optional[dict] = None) -> dict:
+    out = {"status": status}
+    if witness is not None:
+        out["witness"] = witness
+    return out
+
+
+def compute_verdicts(g: Graph, report: PropertyReport) -> dict[str, dict]:
+    """The five named checks. Fail entries carry a witness that replays."""
+    if report.depth != "full":
+        raise ValueError("verdicts need a full-depth report")
+    verdicts: dict[str, dict] = {}
+    connected = report.diameter is not None
+    four_critical = bool(report.critical) and report.gamma2 == 4
+
+    # diameter of a connected 4-critical graph is 2 or 3
+    if connected and four_critical:
+        ok = report.diameter in (2, 3)
+        verdicts["lemma1"] = _verdict(
+            PASS if ok else FAIL, None if ok else {"diameter": report.diameter}
+        )
+    else:
+        verdicts["lemma1"] = _verdict(NOT_APPLICABLE)
+
+    # diameter-3 graphs: 4-critical iff a 1,s,t,1 clique chain
+    if connected and report.diameter == 3:
+        chain = matching_clique_chain(g)
+        ok = four_critical == (chain is not None)
+        verdicts["lemma2"] = _verdict(
+            PASS if ok else FAIL,
+            None
+            if ok
+            else {"gamma2_critical": four_critical, "clique_chain": list(chain) if chain else None},
+        )
+    else:
+        verdicts["lemma2"] = _verdict(NOT_APPLICABLE)
+
+    # star-free 4-critical graphs have small independence number
+    applicable_r = [r for r, free in ((3, report.claw_free), (4, report.k14_free)) if free]
+    if connected and four_critical and applicable_r:
+        alpha, witness_set = independence_number(g)
+        bad = [r for r in applicable_r if alpha > r]
+        verdicts["lemma3"] = _verdict(
+            PASS if not bad else FAIL,
+            None if not bad else {"r": bad[0], "alpha": alpha, "independent_set": sorted(witness_set)},
+        )
+    else:
+        verdicts["lemma3"] = _verdict(NOT_APPLICABLE)
+
+    # minimum sets of every augmentation meet the new edge
+    if connected and bool(report.critical):
+        obs = crit.check_observation1(g, _criticality_report(g))
+        if obs.ok:
+            verdicts["obs1"] = _verdict(PASS)
+        else:
+            u, v, dds = obs.counterexample
+            verdicts["obs1"] = _verdict(FAIL, {"u": u, "v": v, "dds": sorted(dds)})
+    else:
+        verdicts["obs1"] = _verdict(NOT_APPLICABLE)
+
+    # the main claim: hypotheses force 3-factor-criticality or family membership
+    hyp = (
+        connected
+        and report.order % 2 == 1
+        and report.min_degree >= 4
+        and report.connectivity >= 3
+        and report.claw_free
+        and four_critical
+    )
+    if hyp:
+        if report.in_family_H or report.factor_critical.get(3):
+            verdicts["theorem1"] = _verdict(PASS)
+        else:
+            witness = is_k_factor_critical_direct(g, 3).witness_failure
+            verdicts["theorem1"] = _verdict(FAIL, {"failing_3_set": sorted(witness)})
+    else:
+        verdicts["theorem1"] = _verdict(NOT_APPLICABLE)
+    return verdicts
+
+
+def replay_verdict(g: Graph, name: str, verdict: dict) -> bool:
+    """Confirm that a fail verdict's witness demonstrates the failure.
+
+    Returns True when the recorded witness still exhibits the violation when
+    recomputed through the library, False otherwise. Pass and not-applicable
+    verdicts replay trivially.
+    """
+    if verdict.get("status") != FAIL:
+        return True
+    witness = verdict.get("witness") or {}
+    if name == "lemma1":
+        return diameter(g) == witness.get("diameter") and witness.get("diameter") not in (2, 3)
+    if name == "lemma2":
+        chain = matching_clique_chain(g)
+        report = crit.criticality_report(g)
+        four = report.is_critical and report.gamma2 == 4
+        return diameter(g) == 3 and four != (chain is not None)
+    if name == "lemma3":
+        r = witness.get("r")
+        indep = witness.get("independent_set") or []
+        if len(indep) <= r:
+            return False
+        free, _ = is_k1r_free(g, r)
+        return free and all(not g.adjacent(u, v) for i, u in enumerate(indep) for v in indep[i + 1:])
+    if name == "obs1":
+        from .domination import is_k_tuple_dominating
+        from .graphs import add_edge
+
+        u, v, dds = witness.get("u"), witness.get("v"), witness.get("dds")
+        if u is None or v is None or dds is None or g.adjacent(u, v):
+            return False
+        aug = add_edge(g, u, v)
+        report = crit.criticality_report(g)
+        after = gamma_xk(aug, 2)
+        if len(dds) != after.size or not is_k_tuple_dominating(aug, dds, 2):
+            return False
+        hit = len(set(dds) & {u, v})
+        drop = report.gamma2 - after.size
+        return hit == 0 or (drop == 2 and hit != 2)
+    if name == "theorem1":
+        from .matching import _has_pm_minus
+
+        failing = witness.get("failing_3_set")
+        if failing is None or len(failing) != 3 or is_in_family_H(g):
+            return False
+        mask = 0
+        for v in failing:
+            mask |= 1 << v
+        return not _has_pm_minus(g.rows, g.n, mask)
+    raise ValueError(f"unknown check {name!r}")
+
+
+# -- scan ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Hypotheses:
+    """Filter conditions a scanned graph must meet to produce a record."""
+
+    connected: bool = False
+    odd_order: bool = False
+    min_degree: Optional[int] = None
+    min_connectivity: Optional[int] = None
+    claw_free: bool = False
+    k14_free: bool = False
+    gamma2: Optional[int] = None
+    critical: bool = False
+
+    def needs_full(self) -> bool:
+        return self.gamma2 is not None or self.critical
+
+    def fast_pass(self, report: PropertyReport) -> bool:
+        if self.odd_order and report.order % 2 == 0:
+            return False
+        if self.min_degree is not None and report.min_degree < self.min_degree:
+            return False
+        if self.connected and report.diameter is None:
+            return False
+        if self.min_connectivity is not None and report.connectivity < self.min_connectivity:
+            return False
+        if self.claw_free and not report.claw_free:
+            return False
+        if self.k14_free and not report.k14_free:
+            return False
+        return True
+
+    def full_pass(self, report: PropertyReport) -> bool:
+        if self.gamma2 is not None and report.gamma2 != self.gamma2:
+            return False
+        if self.critical and not report.critical:
+            return False
+        return True
+
+
+def _scan_one(
+    item: tuple[int, str],
+    hypotheses: Hypotheses,
+    depth: str,
+    cache: Optional["ReportCache"],
+) -> Optional[dict]:
+    index, line = item
+    text = line.strip()
+    if not text:
+        return None
+    try:
+        g = from_graph6(text)
+    except Graph6Error as exc:
+        return {"input_index": index, "graph6": text, "error": str(exc)}
+    fast_report = analyze(g, "fast")
+    if not hypotheses.fast_pass(fast_report):
+        return None
+    if depth == "fast" and not hypotheses.needs_full():
+        return {"input_index": index, "graph6": text, "report": fast_report.to_json_dict(), "verdicts": {}}
+    full_report = analyze(g, "full", cache=cache)
+    if not hypotheses.full_pass(full_report):
+        return None
+    if depth == "fast":
+        return {"input_index": index, "graph6": text, "report": fast_report.to_json_dict(), "verdicts": {}}
+    verdicts = compute_verdicts(g, full_report)
+    return {
+        "input_index": index,
+        "graph6": text,
+        "report": full_report.to_json_dict(),
+        "verdicts": verdicts,
+    }
+
+
+def scan(
+    lines: Iterable[str],
+    hypotheses: Hypotheses = Hypotheses(),
+    depth: str = "full",
+    workers: int = 1,
+    cache: Optional["ReportCache"] = None,
+) -> Iterator[dict]:
+    """One record per surviving input line, in input order.
+
+    Malformed lines yield error records and scanning continues. The worker
+    pool only spreads pure per-graph work and results are re-sequenced to
+    input order, so output does not depend on the worker count.
+    """
+    if depth not in ("fast", "full"):
+        raise ValueError("depth must be 'fast' or 'full'")
+    items = ((i, line) for i, line in enumerate(lines))
+    if workers <= 1:
+        for item in items:
+            record = _scan_one(item, hypotheses, depth, cache)
+            if record is not None:
+                yield record
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for record in pool.map(lambda item: _scan_one(item, hypotheses, depth, cache), items):
+                if record is not None:
+                    yield record
+
+
+def record_to_json(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+# -- verification campaigns ----------------------------------------------------
+
+
+@dataclass
+class CampaignSummary:
+    name: str
+    examined: int = 0
+    passed: int = 0
+    failed: int = 0
+    not_applicable: int = 0
+    violations: list = field(default_factory=list)
+    extras: dict = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return self.failed == 0
+
+    def count(self, g: Graph, verdict: dict):
+        self.examined += 1
+        status = verdict["status"]
+        if status == PASS:
+            self.passed += 1
+        elif status == FAIL:
+            self.failed += 1
+            self.violations.append({"graph6": canonical_key(g).decode("ascii"), "verdict": verdict})
+        else:
+            self.not_applicable += 1
+
+    def describe(self) -> str:
+        return (
+            f"{self.name}: examined={self.examined} pass={self.passed} "
+            f"fail={self.failed} not-applicable={self.not_applicable}"
+        )
+
+
+def _campaign(name: str, graphs: Iterable[Graph], cache: Optional["ReportCache"] = None) -> CampaignSummary:
+    summary = CampaignSummary(name)
+    for g in graphs:
+        report = analyze(g, "full", cache=cache)
+        verdict = compute_verdicts(g, report)[name]
+        summary.count(g, verdict)
+        if name == "lemma1" and verdict["status"] == PASS:
+            hist = summary.extras.setdefault("diameter_counts", {})
+            hist[report.diameter] = hist.get(report.diameter, 0) + 1
+    return summary
+
+
+def verify_lemma1(graphs: Iterable[Graph], cache=None) -> CampaignSummary:
+    """Connected edge-critical graphs with value 4 have diameter 2 or 3."""
+    return _campaign("lemma1", graphs, cache)
+
+
+def verify_lemma2(graphs: Iterable[Graph], s_max: int = 4, t_max: int = 4, cache=None) -> CampaignSummary:
+    """Both directions of the diameter-3 classification.
+
+    Forward: every 1,s,t,1 clique chain with s,t in range is edge critical
+    with value 4 and diameter 3. Converse: every corpus graph of diameter 3
+    that is 4-critical matches some clique chain (checked per graph).
+    """
+    summary = _campaign("lemma2", graphs, cache)
+    forward_failures = []
+    for s in range(1, s_max + 1):
+        for t in range(1, t_max + 1):
+            g = clique_chain(1, s, t, 1)
+            report = crit.criticality_report(g)
+            if not (report.is_critical and report.gamma2 == 4 and diameter(g) == 3):
+                forward_failures.append({"s": s, "t": t})
+    summary.extras["forward_checked"] = s_max * t_max
+    summary.extras["forward_failures"] = forward_failures
+    if forward_failures:
+        summary.failed += len(forward_failures)
+        summary.violations.extend({"forward": f} for f in forward_failures)
+    return summary
+
+
+def verify_lemma3(graphs: Iterable[Graph], cache=None) -> CampaignSummary:
+    """Star-free edge-critical graphs with value 4 have independence at most r."""
+    return _campaign("lemma3", graphs, cache)
+
+
+def verify_obs1(graphs: Iterable[Graph], cache=None) -> CampaignSummary:
+    """Minimum sets of every single-edge augmentation meet the new edge."""
+    return _campaign("obs1", graphs, cache)
+
+
+def verify_theorem1(graphs: Iterable[Graph], cache=None) -> CampaignSummary:
+    """Main claim on an exhaustive corpus; also tallies the family members."""
+    summary = CampaignSummary("theorem1")
+    family: dict[str, int] = {}
+    for g in graphs:
+        report = analyze(g, "full", cache=cache)
+        verdict = compute_verdicts(g, report)["theorem1"]
+        summary.count(g, verdict)
+        if verdict["status"] != NOT_APPLICABLE and report.in_family_H:
+            family[report.canonical_id] = family.get(report.canonical_id, 0) + 1
+    summary.extras["family_classes"] = sorted(family)
+    summary.extras["family_occurrences"] = family
+    return summary
+
+
+@dataclass
+class Lemma789Result:
+    """Structure report for a hypothesis-satisfying graph that is not
+    3-factor-critical: a 3-set with exactly two odd components must exist,
+    and in the diameter-2 case the cut neighborhoods tile the components."""
+
+    status: str
+    reason: Optional[str] = None
+    cutsets: list = field(default_factory=list)
+    lemma8_status: str = NOT_APPLICABLE
+    lemma8_detail: Optional[dict] = None
+    lemma9_status: str = NOT_APPLICABLE
+
+
+def verify_lemma7_8_9(g: Graph) -> Lemma789Result:
+    report = analyze(g, "full")
+    hyp = (
+        report.diameter is not None
+        and report.order % 2 == 1
+        and report.min_degree >= 4
+        and report.connectivity >= 3
+        and report.claw_free
+        and bool(report.critical)
+        and report.gamma2 == 4
+    )
+    if not hyp:
+        return Lemma789Result(NOT_APPLICABLE, "hypotheses not satisfied")
+    if report.factor_critical.get(3):
+        return Lemma789Result(NOT_APPLICABLE, "graph is 3-factor-critical")
+
+    found = []
+    for combo in itertools.combinations(range(g.n), 3):
+        cut = frozenset(combo)
+        comps = components(g, cut)
+        odd = [c for c in comps if len(c) % 2 == 1]
+        if len(odd) == 2 and len(comps) == 2:
+            found.append((cut, comps))
+    if not found:
+        return Lemma789Result(FAIL, "no 3-set with exactly two odd components")
+
+    result = Lemma789Result(PASS)
+    result.cutsets = [sorted(cut) for cut, _ in found]
+    if report.diameter == 2:
+        detail = {"checked": 0, "failures": []}
+        for cut, comps in found:
+            c1, c2 = comps
+            a_sets = [frozenset(v for v in c1 if g.adjacent(v, s)) for s in sorted(cut)]
+            b_sets = [frozenset(v for v in c2 if g.adjacent(v, s)) for s in sorted(cut)]
+            detail["checked"] += 1
+
+            def complete(sub: frozenset) -> bool:
+                return all(g.adjacent(u, v) for u in sub for v in sub if u < v)
+
+            ok = (
+                all(a and b for a, b in zip(a_sets, b_sets))
+                and all(complete(a) for a in a_sets)
+                and all(complete(b) for b in b_sets)
+                and frozenset().union(*a_sets) == c1
+                and frozenset().union(*b_sets) == c2
+                and any(a_sets[i] & a_sets[j] for i in range(3) for j in range(i + 1, 3))
+                and any(b_sets[i] & b_sets[j] for i in range(3) for j in range(i + 1, 3))
+            )
+            if not ok:
+                detail["failures"].append(sorted(cut))
+        result.lemma8_status = PASS if not detail["failures"] else FAIL
+        result.lemma8_detail = detail
+        if detail["failures"]:
+            result.status = FAIL
+    if not is_in_family_H(g):
+        # outside the exceptional family the three cut neighborhoods on each
+        # side can have no common vertex
+        bad = []
+        for cut, comps in found:
+            c1, c2 = comps
+            meets_all_1 = frozenset(
+                v for v in c1 if all(g.adjacent(v, s) for s in cut)
+            )
+            meets_all_2 = frozenset(
+                v for v in c2 if all(g.adjacent(v, s) for s in cut)
+            )
+            if meets_all_1 or meets_all_2:
+                bad.append(sorted(cut))
+        result.lemma9_status = PASS if not bad else FAIL
+        if bad:
+            result.status = FAIL
+    return result
+
+
+# -- report cache ---------------------------------------------------------------
+
+
+class ReportCache:
+    """Append-only JSONL cache of full property reports keyed by canonical id.
+
+    Corrupt lines are skipped with a warning; stores are idempotent per key.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._entries: dict[str, PropertyReport] = {}
+        self._lock = threading.Lock()
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        data = json.loads(line)
+                        report = PropertyReport.from_json_dict(data["report"])
+                        self._entries[data["key"]] = report
+                    except (ValueError, KeyError, TypeError):
+                        print(
+                            f"warning: skipping corrupt cache line {lineno} in {path}",
+                            file=sys.stderr,
+                        )
+        except FileNotFoundError:
+            pass
+
+    def lookup(self, key: str) -> Optional[PropertyReport]:
+        return self._entries.get(key)
+
+    def store(self, key: str, report: PropertyReport) -> None:
+        with self._lock:
+            if key in self._entries:
+                return
+            self._entries[key] = report
+            line = json.dumps(
+                {"key": key, "report": report.to_json_dict()}, sort_keys=True, separators=(",", ":")
+            )
+            with open(self.path, "a", encoding="ascii") as fh:
+                fh.write(line + "\n")
+
+
+# -- built-in corpora ------------------------------------------------------------
+
+
+def default_corpus(check: str, max_order: int) -> Iterator[Graph]:
+    """Built-in corpus for a named campaign.
+
+    The first four checks walk every connected graph up to the order cap. The
+    main-claim campaign walks connected claw-free graphs of odd order with
+    minimum degree at least 4 (its own hypotheses), which keeps the
+    enumeration tractable at order 9 without an external generator.
+    """
+    if check == "theorem1":
+        for n in range(3, max_order + 1):
+            if n % 2 == 1:
+                yield from connected_graphs(n, claw_free=True, final_min_degree=4)
+    else:
+        for n in range(1, max_order + 1):
+            yield from connected_graphs(n)
