@@ -19,6 +19,13 @@ The augmentation generator accepts two sound prunes:
   degree by at most n-k, so any ancestor of a final graph with minimum degree
   d satisfies deg(v) + (n-k) >= d at level k. States failing that are dead.
 
+Before canonical labeling, a child is dropped when its new vertex's
+invariant, (degree, sum of neighbor degrees), is below the maximum over its
+vertices. Both prunes survive deleting any vertex, so every class on k+1
+vertices has a vertex v of maximal invariant whose deletion lands on a stored
+class; extending that class by the neighborhood of v gives a child the filter
+keeps, and the output is unchanged while most children skip labeling.
+
 Results are sorted by canonical key, so output order is deterministic.
 """
 
@@ -69,33 +76,42 @@ def _claw_touching(rows: list[int], v: int) -> bool:
     return False
 
 
-def _extensions(parent: Graph, claw_free: bool, degree_floor: Optional[int]):
+def _vertex_invariants(rows: list[int]) -> list[tuple[int, int]]:
+    """Per-vertex (degree, sum of neighbor degrees); preserved by relabeling."""
+    degrees = [r.bit_count() for r in rows]
+    return [(degrees[v], sum(degrees[u] for u in _bits(row))) for v, row in enumerate(rows)]
+
+
+def _extensions(parent: Graph, claw_free: bool, degree_floor: int):
+    """Adjacency rows of the children whose new vertex has a maximal invariant."""
     k = parent.n
     new = k  # label of the added vertex
     for nbhd in range(1 << k):
         rows = [r | ((nbhd >> v & 1) << new) for v, r in enumerate(parent.rows)]
         rows.append(nbhd)
+        degrees = [r.bit_count() for r in rows]
+        # the degree alone, the invariant's first field, settles most children
+        if min(degrees) < degree_floor or degrees[new] < max(degrees):
+            continue
+        invariants = _vertex_invariants(rows)
+        if invariants[new] < max(invariants):
+            continue
         if claw_free and _claw_touching(rows, new):
             continue
-        if degree_floor is not None and any(r.bit_count() < degree_floor for r in rows):
-            continue
-        yield Graph(k + 1, tuple(rows))
+        yield tuple(rows)
 
 
 def _levels(n: int, claw_free: bool, final_min_degree: Optional[int]) -> Iterator[list[Graph]]:
     level = [Graph.empty(1)]
     yield level
     for k in range(2, n + 1):
-        floor = None
-        if final_min_degree is not None:
-            floor = final_min_degree - (n - k)
-            floor = floor if floor > 0 else None
+        floor = 0 if final_min_degree is None else final_min_degree - (n - k)
         seen: dict[tuple[int, ...], Graph] = {}
         for parent in level:
-            for child in _extensions(parent, claw_free, floor):
-                code, _ = _canonical(child.rows, child.n)
+            for rows in _extensions(parent, claw_free, floor):
+                code, _ = _canonical(rows, k)
                 if code not in seen:
-                    seen[code] = Graph(child.n, code)
+                    seen[code] = Graph(k, code)
         level = [seen[code] for code in sorted(seen)]
         yield level
 

@@ -170,6 +170,9 @@ def from_graph6(text: str) -> Graph:
         raise Graph6Error("truncated edge bit body", len(data))
     if len(data) - body > nbytes:
         raise Graph6Error("trailing bytes after edge bit body", body + nbytes)
+    padding = nbytes * 6 - nbits
+    if (data[-1] - 63) & ((1 << padding) - 1):
+        raise Graph6Error("non-zero padding bits", len(data) - 1)
     rows = [0] * n
     k = 0
     for j in range(1, n):
@@ -556,11 +559,6 @@ def canonical_key(g: Graph) -> bytes:
     """Isomorphism-invariant key: the graph6 line of the canonical relabeling."""
     code, _ = _canonical(g.rows, g.n)
     return to_graph6(Graph(g.n, code)).encode("ascii")
-
-
-def canonical_graph(g: Graph) -> Graph:
-    code, _ = _canonical(g.rows, g.n)
-    return Graph(g.n, code)
 
 
 @dataclass(frozen=True, slots=True)

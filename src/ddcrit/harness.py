@@ -15,7 +15,6 @@ import itertools
 import json
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -50,8 +49,7 @@ _criticality_report = lru_cache(maxsize=1 << 18)(crit.criticality_report)
 
 @dataclass
 class PropertyReport:
-    """All computed invariants of one graph. ``elapsed_ms`` is bookkeeping
-    only: excluded from serialization and comparison."""
+    """All computed invariants of one graph."""
 
     canonical_id: str
     order: int
@@ -65,7 +63,6 @@ class PropertyReport:
     critical: Optional[bool] = None
     factor_critical: Optional[dict[int, Optional[bool]]] = None
     in_family_H: Optional[bool] = None
-    elapsed_ms: float = field(default=0.0, compare=False)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -115,7 +112,6 @@ def analyze(g: Graph, depth: str = "full", cache: Optional["ReportCache"] = None
     """
     if depth not in ("fast", "full"):
         raise ValueError("depth must be 'fast' or 'full'")
-    start = time.perf_counter()
     key = canonical_key(g).decode("ascii")
     if cache is not None and depth == "full":
         hit = cache.lookup(key)
@@ -147,7 +143,6 @@ def analyze(g: Graph, depth: str = "full", cache: Optional["ReportCache"] = None
                 fc[k] = None
         report.factor_critical = fc
         report.in_family_H = is_in_family_H(g)
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     if cache is not None and depth == "full":
         cache.store(key, report)
     return report

@@ -8,7 +8,8 @@ tiny graphs.
 import itertools
 from functools import lru_cache
 
-from ddcrit.graphs import Graph, _bits
+from ddcrit.enumeration import _claw_touching
+from ddcrit.graphs import Graph, _bits, _canonical
 
 
 def brute_max_matching_size(g: Graph) -> int:
@@ -93,3 +94,30 @@ def brute_diameter(g: Graph):
             return None
         best = max(best, max(dist.values()))
     return best
+
+
+def unpruned_levels(n: int, claw_free: bool = False, final_min_degree=None):
+    """Augmentation enumeration that canonically labels every child.
+
+    The library's enumerator with its vertex-invariant filter taken out: the
+    claw and degree-floor prunes stay, every surviving child is labeled and
+    deduplicated. Yields each level, sorted by canonical code.
+    """
+    level = [Graph.empty(1)]
+    yield level
+    for k in range(2, n + 1):
+        floor = None if final_min_degree is None else final_min_degree - (n - k)
+        seen: dict[tuple[int, ...], Graph] = {}
+        for parent in level:
+            for nbhd in range(1 << parent.n):
+                rows = [r | ((nbhd >> v & 1) << parent.n) for v, r in enumerate(parent.rows)]
+                rows.append(nbhd)
+                if floor is not None and any(r.bit_count() < floor for r in rows):
+                    continue
+                if claw_free and _claw_touching(rows, parent.n):
+                    continue
+                code, _ = _canonical(tuple(rows), k)
+                if code not in seen:
+                    seen[code] = Graph(k, code)
+        level = [seen[code] for code in sorted(seen)]
+        yield level

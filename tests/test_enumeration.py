@@ -1,7 +1,16 @@
+import random
+
 import pytest
 
-from ddcrit.enumeration import connected_graphs, enumerate_graphs, graphs_upto, naive_all_graphs
-from ddcrit.graphs import Graph, canonical_key, is_connected, is_k1r_free, min_degree, to_graph6
+from ddcrit.enumeration import (
+    _vertex_invariants,
+    connected_graphs,
+    enumerate_graphs,
+    graphs_upto,
+    naive_all_graphs,
+)
+from ddcrit.graphs import Graph, canonical_key, is_connected, is_k1r_free, min_degree, relabel, to_graph6
+from oracles import unpruned_levels
 
 # class counts per order, cross-checked between the two generators below
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -61,3 +70,29 @@ def test_output_is_deterministic_and_canonical():
 
 def test_connected_helper():
     assert len(connected_graphs(6)) == CONNECTED_COUNTS[6]
+
+
+def test_invariant_filter_matches_unpruned_oracle(graphs_by_n):
+    expected = list(unpruned_levels(8))
+    assert [graphs_by_n[n] for n in range(1, 9)] == expected
+    for n in range(1, 8):
+        assert enumerate_graphs(n) == expected[n - 1]
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_invariant_filter_matches_unpruned_oracle_claw_free(degree):
+    for n in range(1, 10):
+        *_, last = unpruned_levels(n, claw_free=True, final_min_degree=degree)
+        expected = [g for g in last if min_degree(g) >= degree]
+        assert enumerate_graphs(n, claw_free=True, final_min_degree=degree) == expected
+
+
+def test_vertex_invariants_follow_relabeling(graphs_small):
+    rng = random.Random(7)
+    for n in range(1, 8):
+        for g in graphs_small[n]:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            before = _vertex_invariants(g.rows)
+            after = _vertex_invariants(relabel(g, perm).rows)
+            assert [after[perm[v]] for v in range(n)] == before

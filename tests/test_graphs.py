@@ -76,6 +76,9 @@ def test_graph6_errors_carry_offsets():
     with pytest.raises(Graph6Error) as exc:
         from_graph6("Bw?")  # trailing bytes
     assert exc.value.offset == 2
+    with pytest.raises(Graph6Error) as exc:
+        from_graph6("B`")  # non-zero padding bits
+    assert exc.value.offset == 1
     with pytest.raises(Graph6Error):
         from_graph6("B\x1f")  # byte below range
     with pytest.raises(Graph6Error):
