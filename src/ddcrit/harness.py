@@ -1,12 +1,17 @@
 """Scan pipeline: per-graph property reports, named structural checks, the
 verification campaigns, and a JSONL report cache.
 
-Reports are computed in two phases ordered by cost (degree, connectivity,
-claws, diameter, then the domination solver, criticality, factor criticality
-and family membership), so hypothesis filtering can stop early. Scan output
-is JSONL, one record per surviving input line, deterministic for a fixed
-input order and flag set regardless of worker count; wall-clock timings are
-kept on the in-memory objects only and never serialized.
+Every invariant of a graph is read through one per-graph memo,
+``GraphFacts``, which computes a field on first read and keeps it. Each named
+check tests its hypotheses cheapest first (degree, claws and diameter before
+the domination solver, connectivity before criticality, factor criticality
+and family membership last), so a campaign computes only what its own
+verdict reads and stops at the first hypothesis that fails. Full property
+reports are built from the same memo; with a report cache, campaigns and
+scans take the full report (computed once per class) and read their
+verdicts from it. Scan output is JSONL, one record per surviving input line,
+deterministic for a fixed input order and flag set regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from . import criticality as crit
 from .constructions import clique_chain, is_in_family_H
@@ -38,9 +43,7 @@ from .graphs import (
     min_degree,
     vertex_connectivity,
 )
-from .matching import is_k_factor_critical_direct
-
-CHECK_NAMES = ("lemma1", "lemma2", "lemma3", "obs1", "theorem1")
+from .matching import FactorCriticalityVerdict, is_k_factor_critical_direct
 
 # The per-non-edge solver runs are the expensive part of a corpus sweep and
 # several checks need the same report, so memoize on the immutable graph.
@@ -101,50 +104,124 @@ class PropertyReport:
         )
 
 
-def analyze(g: Graph, depth: str = "full", cache: Optional["ReportCache"] = None) -> PropertyReport:
-    """Compute the property report, cheap fields first.
+_FAST_FIELDS = ("canonical_id", "min_degree", "connectivity", "diameter", "claw_free", "k14_free")
+_FULL_FIELDS = ("gamma2", "critical", "in_family_H")
 
-    ``fast`` stops after the structural filters; ``full`` adds the double
+
+def _fields(depth: str) -> tuple[str, ...]:
+    """Report fields of a depth, factor criticality aside."""
+    return _FAST_FIELDS + _FULL_FIELDS if depth == "full" else _FAST_FIELDS
+
+
+class GraphFacts:
+    """The invariants of one graph, each computed on first read and kept.
+
+    Attribute names match ``PropertyReport``. Factor criticality is read per
+    deletion size through ``factor_verdict`` (witness included) or
+    ``factor_critical_at``. A memo built from a full report takes every field
+    the report holds instead of computing it.
+    """
+
+    def __init__(self, g: Graph, report: Optional[PropertyReport] = None):
+        self.g = g
+        self.order = g.n
+        self._factor: dict[int, Optional[FactorCriticalityVerdict]] = {}
+        self._factor_holds: dict[int, Optional[bool]] = {}
+        if report is not None:
+            self.adopt(report)
+
+    def adopt(self, report: PropertyReport) -> None:
+        """Take the fields of a report of this graph (or of an isomorphic one)."""
+        for name in _fields(report.depth):
+            setattr(self, name, getattr(report, name))  # shadows the cached_property
+        if report.depth == "full":
+            self._factor_holds.update(report.factor_critical or {})
+
+    # The bodies below call the module-level functions of the same names.
+
+    @cached_property
+    def canonical_id(self) -> str:
+        return canonical_key(self.g).decode("ascii")
+
+    @cached_property
+    def min_degree(self) -> int:
+        return min_degree(self.g)
+
+    @cached_property
+    def connectivity(self) -> int:
+        # single-vertex graphs record 0 (they are complete, and complete
+        # graphs carry the n-1 convention)
+        return 0 if self.g.n == 1 else vertex_connectivity(self.g)
+
+    @cached_property
+    def diameter(self) -> Optional[int]:
+        return diameter(self.g)
+
+    @cached_property
+    def claw_free(self) -> bool:
+        return is_k1r_free(self.g, 3)[0]
+
+    @cached_property
+    def k14_free(self) -> bool:
+        return is_k1r_free(self.g, 4)[0]
+
+    @cached_property
+    def gamma2(self) -> Optional[int]:
+        gamma = gamma_xk(self.g, 2)
+        return gamma.size if gamma.feasible else None
+
+    @cached_property
+    def critical(self) -> Optional[bool]:
+        if self.gamma2 is None or not is_connected(self.g):
+            return None
+        return _criticality_report(self.g).is_critical
+
+    @cached_property
+    def in_family_H(self) -> bool:
+        return is_in_family_H(self.g)
+
+    def factor_verdict(self, k: int) -> Optional[FactorCriticalityVerdict]:
+        """Direct k-factor-criticality test; None when k > n or n - k is odd."""
+        if k not in self._factor:
+            applies = k <= self.order and (self.order - k) % 2 == 0
+            self._factor[k] = is_k_factor_critical_direct(self.g, k) if applies else None
+        return self._factor[k]
+
+    def factor_critical_at(self, k: int) -> Optional[bool]:
+        if k not in self._factor_holds:
+            verdict = self.factor_verdict(k)
+            self._factor_holds[k] = None if verdict is None else verdict.holds
+        return self._factor_holds[k]
+
+    def report(self, depth: str) -> PropertyReport:
+        out = PropertyReport(order=self.order, depth=depth, **{name: getattr(self, name) for name in _fields(depth)})
+        if depth == "full":
+            out.factor_critical = {k: self.factor_critical_at(k) for k in (1, 3)}
+        return out
+
+
+def analyze(
+    g: Union[Graph, GraphFacts], depth: str = "full", cache: Optional["ReportCache"] = None
+) -> PropertyReport:
+    """The property report of a graph, or of the graph behind a memo.
+
+    ``fast`` stops after the structural fields; ``full`` adds the double
     domination number, criticality, factor criticality for deletion sizes 1
     and 3, and membership in the exceptional family. Only full reports are
-    cached. Single-vertex graphs record connectivity 0 (they are complete, and
-    complete graphs carry the n-1 convention).
+    cached. Given a memo, the report reuses the fields it already holds, and
+    a cache hit is adopted into it.
     """
     if depth not in ("fast", "full"):
         raise ValueError("depth must be 'fast' or 'full'")
-    key = canonical_key(g).decode("ascii")
+    facts = g if isinstance(g, GraphFacts) else GraphFacts(g)
     if cache is not None and depth == "full":
-        hit = cache.lookup(key)
+        hit = cache.lookup(facts.canonical_id)
         if hit is not None:
+            facts.adopt(hit)
             return hit
-    connectivity = 0 if g.n == 1 else vertex_connectivity(g)
-    claw_free, _ = is_k1r_free(g, 3)
-    k14_free, _ = is_k1r_free(g, 4)
-    report = PropertyReport(
-        canonical_id=key,
-        order=g.n,
-        min_degree=min_degree(g),
-        connectivity=connectivity,
-        diameter=diameter(g),
-        claw_free=claw_free,
-        k14_free=k14_free,
-        depth=depth,
-    )
-    if depth == "full":
-        gamma = gamma_xk(g, 2)
-        report.gamma2 = gamma.size if gamma.feasible else None
-        if gamma.feasible and is_connected(g):
-            report.critical = _criticality_report(g).is_critical
-        fc: dict[int, Optional[bool]] = {}
-        for k in (1, 3):
-            if k <= g.n and (g.n - k) % 2 == 0:
-                fc[k] = is_k_factor_critical_direct(g, k).holds
-            else:
-                fc[k] = None
-        report.factor_critical = fc
-        report.in_family_H = is_in_family_H(g)
+    report = facts.report(depth)
     if cache is not None and depth == "full":
-        cache.store(key, report)
+        cache.store(report.canonical_id, report)
     return report
 
 
@@ -176,77 +253,96 @@ def _verdict(status: str, witness: Optional[dict] = None) -> dict:
     return out
 
 
+def _four_critical(f: GraphFacts) -> bool:
+    return f.gamma2 == 4 and bool(f.critical)
+
+
+def _lemma1(f: GraphFacts) -> dict:
+    """The diameter of a connected 4-critical graph is 2 or 3."""
+    if f.diameter is None or not _four_critical(f):
+        return _verdict(NOT_APPLICABLE)
+    ok = f.diameter in (2, 3)
+    return _verdict(PASS if ok else FAIL, None if ok else {"diameter": f.diameter})
+
+
+def _lemma2(f: GraphFacts) -> dict:
+    """A diameter-3 graph is 4-critical iff it is a 1,s,t,1 clique chain."""
+    if f.diameter != 3:
+        return _verdict(NOT_APPLICABLE)
+    chain = _clique_chain_keys(f.order).get(f.canonical_id.encode("ascii"))
+    four_critical = _four_critical(f)
+    ok = four_critical == (chain is not None)
+    return _verdict(
+        PASS if ok else FAIL,
+        None if ok else {"gamma2_critical": four_critical, "clique_chain": list(chain) if chain else None},
+    )
+
+
+def _lemma3(f: GraphFacts) -> dict:
+    """Star-free 4-critical graphs have small independence number."""
+    if f.diameter is None:
+        return _verdict(NOT_APPLICABLE)
+    applicable_r = [r for r, free in ((3, f.claw_free), (4, f.k14_free)) if free]
+    if not applicable_r or not _four_critical(f):
+        return _verdict(NOT_APPLICABLE)
+    alpha, witness_set = independence_number(f.g)
+    bad = [r for r in applicable_r if alpha > r]
+    return _verdict(
+        PASS if not bad else FAIL,
+        None if not bad else {"r": bad[0], "alpha": alpha, "independent_set": sorted(witness_set)},
+    )
+
+
+def _obs1(f: GraphFacts) -> dict:
+    """Minimum sets of every augmentation meet the new edge."""
+    if f.diameter is None or not f.critical:
+        return _verdict(NOT_APPLICABLE)
+    obs = crit.check_observation1(f.g, _criticality_report(f.g))
+    if obs.ok:
+        return _verdict(PASS)
+    u, v, dds = obs.counterexample
+    return _verdict(FAIL, {"u": u, "v": v, "dds": sorted(dds)})
+
+
+def _theorem1_hypotheses(f: GraphFacts) -> bool:
+    # a 3-connected graph is connected, so no separate connectedness test
+    return (
+        f.order % 2 == 1
+        and f.min_degree >= 4
+        and f.claw_free
+        and f.gamma2 == 4
+        and f.connectivity >= 3
+        and bool(f.critical)
+    )
+
+
+def _theorem1(f: GraphFacts) -> dict:
+    """The hypotheses force 3-factor-criticality or family membership."""
+    if not _theorem1_hypotheses(f):
+        return _verdict(NOT_APPLICABLE)
+    if f.in_family_H or f.factor_critical_at(3):
+        return _verdict(PASS)
+    verdict = f.factor_verdict(3)
+    return _verdict(FAIL, {"failing_3_set": sorted(verdict.witness_failure)})
+
+
+# The five named checks. Each tests its hypotheses cheapest first and reads
+# only the fields its verdict needs; fail entries carry a witness that replays.
+CHECKS: dict[str, Callable[[GraphFacts], dict]] = {
+    "lemma1": _lemma1,
+    "lemma2": _lemma2,
+    "lemma3": _lemma3,
+    "obs1": _obs1,
+    "theorem1": _theorem1,
+}
+
+
 def compute_verdicts(g: Graph, report: PropertyReport) -> dict[str, dict]:
-    """The five named checks. Fail entries carry a witness that replays."""
+    """All five named checks, read from a full-depth report of g."""
     if report.depth != "full":
         raise ValueError("verdicts need a full-depth report")
-    verdicts: dict[str, dict] = {}
-    connected = report.diameter is not None
-    four_critical = bool(report.critical) and report.gamma2 == 4
-
-    # diameter of a connected 4-critical graph is 2 or 3
-    if connected and four_critical:
-        ok = report.diameter in (2, 3)
-        verdicts["lemma1"] = _verdict(
-            PASS if ok else FAIL, None if ok else {"diameter": report.diameter}
-        )
-    else:
-        verdicts["lemma1"] = _verdict(NOT_APPLICABLE)
-
-    # diameter-3 graphs: 4-critical iff a 1,s,t,1 clique chain
-    if connected and report.diameter == 3:
-        chain = matching_clique_chain(g)
-        ok = four_critical == (chain is not None)
-        verdicts["lemma2"] = _verdict(
-            PASS if ok else FAIL,
-            None
-            if ok
-            else {"gamma2_critical": four_critical, "clique_chain": list(chain) if chain else None},
-        )
-    else:
-        verdicts["lemma2"] = _verdict(NOT_APPLICABLE)
-
-    # star-free 4-critical graphs have small independence number
-    applicable_r = [r for r, free in ((3, report.claw_free), (4, report.k14_free)) if free]
-    if connected and four_critical and applicable_r:
-        alpha, witness_set = independence_number(g)
-        bad = [r for r in applicable_r if alpha > r]
-        verdicts["lemma3"] = _verdict(
-            PASS if not bad else FAIL,
-            None if not bad else {"r": bad[0], "alpha": alpha, "independent_set": sorted(witness_set)},
-        )
-    else:
-        verdicts["lemma3"] = _verdict(NOT_APPLICABLE)
-
-    # minimum sets of every augmentation meet the new edge
-    if connected and bool(report.critical):
-        obs = crit.check_observation1(g, _criticality_report(g))
-        if obs.ok:
-            verdicts["obs1"] = _verdict(PASS)
-        else:
-            u, v, dds = obs.counterexample
-            verdicts["obs1"] = _verdict(FAIL, {"u": u, "v": v, "dds": sorted(dds)})
-    else:
-        verdicts["obs1"] = _verdict(NOT_APPLICABLE)
-
-    # the main claim: hypotheses force 3-factor-criticality or family membership
-    hyp = (
-        connected
-        and report.order % 2 == 1
-        and report.min_degree >= 4
-        and report.connectivity >= 3
-        and report.claw_free
-        and four_critical
-    )
-    if hyp:
-        if report.in_family_H or report.factor_critical.get(3):
-            verdicts["theorem1"] = _verdict(PASS)
-        else:
-            witness = is_k_factor_critical_direct(g, 3).witness_failure
-            verdicts["theorem1"] = _verdict(FAIL, {"failing_3_set": sorted(witness)})
-    else:
-        verdicts["theorem1"] = _verdict(NOT_APPLICABLE)
-    return verdicts
+    facts = GraphFacts(g, report)
+    return {name: check(facts) for name, check in CHECKS.items()}
 
 
 def replay_verdict(g: Graph, name: str, verdict: dict) -> bool:
@@ -320,22 +416,23 @@ class Hypotheses:
     def needs_full(self) -> bool:
         return self.gamma2 is not None or self.critical
 
-    def fast_pass(self, report: PropertyReport) -> bool:
+    def fast_pass(self, report: Union[PropertyReport, GraphFacts]) -> bool:
+        # cheapest first: on a memo, a failed test leaves the rest uncomputed
         if self.odd_order and report.order % 2 == 0:
             return False
         if self.min_degree is not None and report.min_degree < self.min_degree:
             return False
         if self.connected and report.diameter is None:
             return False
-        if self.min_connectivity is not None and report.connectivity < self.min_connectivity:
-            return False
         if self.claw_free and not report.claw_free:
             return False
         if self.k14_free and not report.k14_free:
             return False
+        if self.min_connectivity is not None and report.connectivity < self.min_connectivity:
+            return False
         return True
 
-    def full_pass(self, report: PropertyReport) -> bool:
+    def full_pass(self, report: Union[PropertyReport, GraphFacts]) -> bool:
         if self.gamma2 is not None and report.gamma2 != self.gamma2:
             return False
         if self.critical and not report.critical:
@@ -357,22 +454,20 @@ def _scan_one(
         g = from_graph6(text)
     except Graph6Error as exc:
         return {"input_index": index, "graph6": text, "error": str(exc)}
-    fast_report = analyze(g, "fast")
-    if not hypotheses.fast_pass(fast_report):
+    facts = GraphFacts(g)
+    if not hypotheses.fast_pass(facts):
         return None
-    if depth == "fast" and not hypotheses.needs_full():
-        return {"input_index": index, "graph6": text, "report": fast_report.to_json_dict(), "verdicts": {}}
-    full_report = analyze(g, "full", cache=cache)
-    if not hypotheses.full_pass(full_report):
-        return None
+    if depth == "full" or hypotheses.needs_full():
+        full_report = analyze(facts, "full", cache=cache)
+        if not hypotheses.full_pass(full_report):
+            return None
     if depth == "fast":
-        return {"input_index": index, "graph6": text, "report": fast_report.to_json_dict(), "verdicts": {}}
-    verdicts = compute_verdicts(g, full_report)
+        return {"input_index": index, "graph6": text, "report": analyze(facts, "fast").to_json_dict(), "verdicts": {}}
     return {
         "input_index": index,
         "graph6": text,
         "report": full_report.to_json_dict(),
-        "verdicts": verdicts,
+        "verdicts": compute_verdicts(g, full_report),
     }
 
 
@@ -444,14 +539,27 @@ class CampaignSummary:
 
 
 def _campaign(name: str, graphs: Iterable[Graph], cache: Optional["ReportCache"] = None) -> CampaignSummary:
+    """Run one named check over a corpus.
+
+    Without a cache each graph gets a fresh memo and only the fields the
+    check reads are computed; with one, the full report is taken (from the
+    cache, or computed and stored) so the cache keeps holding full reports.
+    """
+    check = CHECKS[name]
     summary = CampaignSummary(name)
+    family: dict[str, int] = {}
     for g in graphs:
-        report = analyze(g, "full", cache=cache)
-        verdict = compute_verdicts(g, report)[name]
+        facts = GraphFacts(g) if cache is None else GraphFacts(g, analyze(g, "full", cache=cache))
+        verdict = check(facts)
         summary.count(g, verdict)
         if name == "lemma1" and verdict["status"] == PASS:
             hist = summary.extras.setdefault("diameter_counts", {})
-            hist[report.diameter] = hist.get(report.diameter, 0) + 1
+            hist[facts.diameter] = hist.get(facts.diameter, 0) + 1
+        if name == "theorem1" and verdict["status"] != NOT_APPLICABLE and facts.in_family_H:
+            family[facts.canonical_id] = family.get(facts.canonical_id, 0) + 1
+    if name == "theorem1":
+        summary.extras["family_classes"] = sorted(family)
+        summary.extras["family_occurrences"] = family
     return summary
 
 
@@ -495,17 +603,7 @@ def verify_obs1(graphs: Iterable[Graph], cache=None) -> CampaignSummary:
 
 def verify_theorem1(graphs: Iterable[Graph], cache=None) -> CampaignSummary:
     """Main claim on an exhaustive corpus; also tallies the family members."""
-    summary = CampaignSummary("theorem1")
-    family: dict[str, int] = {}
-    for g in graphs:
-        report = analyze(g, "full", cache=cache)
-        verdict = compute_verdicts(g, report)["theorem1"]
-        summary.count(g, verdict)
-        if verdict["status"] != NOT_APPLICABLE and report.in_family_H:
-            family[report.canonical_id] = family.get(report.canonical_id, 0) + 1
-    summary.extras["family_classes"] = sorted(family)
-    summary.extras["family_occurrences"] = family
-    return summary
+    return _campaign("theorem1", graphs, cache)
 
 
 @dataclass
@@ -523,19 +621,10 @@ class Lemma789Result:
 
 
 def verify_lemma7_8_9(g: Graph) -> Lemma789Result:
-    report = analyze(g, "full")
-    hyp = (
-        report.diameter is not None
-        and report.order % 2 == 1
-        and report.min_degree >= 4
-        and report.connectivity >= 3
-        and report.claw_free
-        and bool(report.critical)
-        and report.gamma2 == 4
-    )
-    if not hyp:
+    facts = GraphFacts(g)
+    if not _theorem1_hypotheses(facts):
         return Lemma789Result(NOT_APPLICABLE, "hypotheses not satisfied")
-    if report.factor_critical.get(3):
+    if facts.factor_critical_at(3):
         return Lemma789Result(NOT_APPLICABLE, "graph is 3-factor-critical")
 
     found = []
@@ -550,7 +639,7 @@ def verify_lemma7_8_9(g: Graph) -> Lemma789Result:
 
     result = Lemma789Result(PASS)
     result.cutsets = [sorted(cut) for cut, _ in found]
-    if report.diameter == 2:
+    if facts.diameter == 2:
         detail = {"checked": 0, "failures": []}
         for cut, comps in found:
             c1, c2 = comps
@@ -576,7 +665,7 @@ def verify_lemma7_8_9(g: Graph) -> Lemma789Result:
         result.lemma8_detail = detail
         if detail["failures"]:
             result.status = FAIL
-    if not is_in_family_H(g):
+    if not facts.in_family_H:
         # outside the exceptional family the three cut neighborhoods on each
         # side can have no common vertex
         bad = []

@@ -121,3 +121,68 @@ def unpruned_levels(n: int, claw_free: bool = False, final_min_degree=None):
                     seen[code] = Graph(k, code)
         level = [seen[code] for code in sorted(seen)]
         yield level
+
+
+def eager_verdicts(g: Graph, report) -> dict:
+    """The five named checks read from a full report, every hypothesis tested.
+
+    This is how verdicts were computed before the checks became demand
+    driven: no short-circuit order, and the theorem's witness is recomputed.
+    """
+    from ddcrit.criticality import FAIL, NOT_APPLICABLE, PASS, check_observation1
+    from ddcrit.graphs import independence_number
+    from ddcrit.harness import _criticality_report, matching_clique_chain
+    from ddcrit.matching import is_k_factor_critical_direct
+
+    def verdict(status, witness=None):
+        return {"status": status} if witness is None else {"status": status, "witness": witness}
+
+    out = {}
+    connected = report.diameter is not None
+    four_critical = bool(report.critical) and report.gamma2 == 4
+    ok = report.diameter in (2, 3)
+    out["lemma1"] = (
+        verdict(PASS if ok else FAIL, None if ok else {"diameter": report.diameter})
+        if connected and four_critical
+        else verdict(NOT_APPLICABLE)
+    )
+    if connected and report.diameter == 3:
+        chain = matching_clique_chain(g)
+        ok = four_critical == (chain is not None)
+        witness = {"gamma2_critical": four_critical, "clique_chain": list(chain) if chain else None}
+        out["lemma2"] = verdict(PASS if ok else FAIL, None if ok else witness)
+    else:
+        out["lemma2"] = verdict(NOT_APPLICABLE)
+    applicable_r = [r for r, free in ((3, report.claw_free), (4, report.k14_free)) if free]
+    if connected and four_critical and applicable_r:
+        alpha, indep = independence_number(g)
+        bad = [r for r in applicable_r if alpha > r]
+        witness = {"r": bad[0], "alpha": alpha, "independent_set": sorted(indep)} if bad else None
+        out["lemma3"] = verdict(FAIL if bad else PASS, witness)
+    else:
+        out["lemma3"] = verdict(NOT_APPLICABLE)
+    if connected and bool(report.critical):
+        obs = check_observation1(g, _criticality_report(g))
+        if obs.ok:
+            out["obs1"] = verdict(PASS)
+        else:
+            u, v, dds = obs.counterexample
+            out["obs1"] = verdict(FAIL, {"u": u, "v": v, "dds": sorted(dds)})
+    else:
+        out["obs1"] = verdict(NOT_APPLICABLE)
+    hyp = (
+        connected
+        and report.order % 2 == 1
+        and report.min_degree >= 4
+        and report.connectivity >= 3
+        and report.claw_free
+        and four_critical
+    )
+    if not hyp:
+        out["theorem1"] = verdict(NOT_APPLICABLE)
+    elif report.in_family_H or report.factor_critical.get(3):
+        out["theorem1"] = verdict(PASS)
+    else:
+        failing = is_k_factor_critical_direct(g, 3).witness_failure
+        out["theorem1"] = verdict(FAIL, {"failing_3_set": sorted(failing)})
+    return out

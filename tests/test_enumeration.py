@@ -17,16 +17,22 @@ ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
-def test_naive_enumeration_counts():
+@pytest.fixture(scope="module")
+def naive_by_n():
+    """The naive generator's classes on 1..6 vertices (7 is refused)."""
+    return {n: naive_all_graphs(n) for n in range(1, 7)}
+
+
+def test_naive_enumeration_counts(naive_by_n):
     for n in range(1, 7):
-        assert len(naive_all_graphs(n)) == ALL_COUNTS[n]
+        assert len(naive_by_n[n]) == ALL_COUNTS[n]
     with pytest.raises(ValueError):
         naive_all_graphs(7)
 
 
-def test_augmentation_agrees_with_naive():
+def test_augmentation_agrees_with_naive(naive_by_n):
     for n in range(1, 7):
-        naive_keys = {canonical_key(g) for g in naive_all_graphs(n)}
+        naive_keys = {canonical_key(g) for g in naive_by_n[n]}
         aug_keys = {canonical_key(g) for g in enumerate_graphs(n)}
         assert naive_keys == aug_keys
 
