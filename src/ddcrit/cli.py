@@ -8,28 +8,25 @@ applicable, 1 when any check failed, 2 on usage or decode errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Iterable, Optional
 
 from .constructions import ConstructionSpec
-from .criticality import FAIL
+from .criticality import FAIL, criticality_report
 from .domination import gamma_xk
-from .graphs import Graph6Error, from_graph6, to_graph6
+from .graphs import Graph, Graph6Error, to_graph6
 from .harness import (
+    CHECKS,
     Hypotheses,
     ReportCache,
     analyze,
+    decode_lines,
     default_corpus,
     record_to_json,
+    run_campaign,
     scan,
-    verify_lemma1,
-    verify_lemma2,
-    verify_lemma3,
-    verify_obs1,
-    verify_theorem1,
 )
-from .matching import ParityError, is_k_factor_critical_direct
+from .matching import is_k_factor_critical_direct
 
 OK, ANY_FAIL, USAGE = 0, 1, 2
 
@@ -50,112 +47,67 @@ def _graph_arg_lines(arg: str) -> Iterable[str]:
         yield arg
 
 
-def _emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+# an argparse type: argparse names it in the message for a non-integer
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
-def _cache_from(args) -> Optional[ReportCache]:
-    return ReportCache(args.cache) if getattr(args, "cache", None) else None
+def _each_graph(args) -> int:
+    """One record per non-blank line of the graph argument.
 
-
-def _cmd_analyze(args) -> int:
-    cache = _cache_from(args)
+    The record holds the line's index and text plus the fields that
+    ``args.record(g, args)`` returns. A line that does not decode, or whose
+    graph the solver rejects with ``ValueError`` (``ParityError`` included),
+    gets an error record instead; processing goes on and the exit status
+    becomes 2.
+    """
     status = OK
-    for index, line in enumerate(_graph_arg_lines(args.graph)):
-        text = line.strip()
-        if not text:
-            continue
+    for index, text, g in decode_lines(_graph_arg_lines(args.graph)):
         try:
-            g = from_graph6(text)
-        except Graph6Error as exc:
-            _emit({"input_index": index, "graph6": text, "error": str(exc)})
-            status = USAGE
-            continue
-        report = analyze(g, args.depth, cache=cache)
-        _emit({"input_index": index, "graph6": text, "report": report.to_json_dict()})
-    return status
-
-
-def _cmd_gamma2(args) -> int:
-    status = OK
-    for index, line in enumerate(_graph_arg_lines(args.graph)):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            g = from_graph6(text)
-        except Graph6Error as exc:
-            _emit({"input_index": index, "graph6": text, "error": str(exc)})
-            status = USAGE
-            continue
-        result = gamma_xk(g, 2)
-        record = {"input_index": index, "graph6": text, "feasible": result.feasible}
-        if result.feasible:
-            record["gamma2"] = result.size
-            record["witness"] = sorted(result.witness.vertices)
-        _emit(record)
-    return status
-
-
-def _cmd_critical(args) -> int:
-    from .criticality import criticality_report
-
-    status = OK
-    for index, line in enumerate(_graph_arg_lines(args.graph)):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            g = from_graph6(text)
-        except Graph6Error as exc:
-            _emit({"input_index": index, "graph6": text, "error": str(exc)})
-            status = USAGE
-            continue
-        try:
-            report = criticality_report(g)
+            if isinstance(g, Graph6Error):
+                raise g
+            fields = args.record(g, args)
         except ValueError as exc:
-            _emit({"input_index": index, "graph6": text, "error": str(exc)})
+            fields = {"error": str(exc)}
             status = USAGE
-            continue
-        _emit(
-            {
-                "input_index": index,
-                "graph6": text,
-                "gamma2": report.gamma2,
-                "critical": report.is_critical,
-                "vacuous": report.vacuous,
-                "per_nonedge": [
-                    {"u": e.u, "v": e.v, "gamma2_after": e.gamma2_after, "drop": e.drop}
-                    for e in report.per_nonedge
-                ],
-            }
-        )
+        print(record_to_json({"input_index": index, "graph6": text, **fields}))
     return status
 
 
-def _cmd_factor_critical(args) -> int:
-    status = OK
-    for index, line in enumerate(_graph_arg_lines(args.graph)):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            g = from_graph6(text)
-        except Graph6Error as exc:
-            _emit({"input_index": index, "graph6": text, "error": str(exc)})
-            status = USAGE
-            continue
-        try:
-            verdict = is_k_factor_critical_direct(g, args.k)
-        except (ParityError, ValueError) as exc:
-            _emit({"input_index": index, "graph6": text, "error": str(exc)})
-            status = USAGE
-            continue
-        record = {"input_index": index, "graph6": text, "k": args.k, "holds": verdict.holds}
-        if verdict.witness_failure is not None:
-            record["witness_failure"] = sorted(verdict.witness_failure)
-        _emit(record)
-    return status
+def _analyze(g: Graph, args) -> dict:
+    return {"report": analyze(g, args.depth, cache=args.cache).to_json_dict()}
+
+
+def _gamma2(g: Graph, args) -> dict:
+    result = gamma_xk(g, 2)
+    fields = {"feasible": result.feasible}
+    if result.feasible:
+        fields["gamma2"] = result.size
+        fields["witness"] = sorted(result.witness.vertices)
+    return fields
+
+
+def _critical(g: Graph, args) -> dict:
+    report = criticality_report(g)
+    return {
+        "gamma2": report.gamma2,
+        "critical": report.is_critical,
+        "vacuous": report.vacuous,
+        "per_nonedge": [
+            {"u": e.u, "v": e.v, "gamma2_after": e.gamma2_after, "drop": e.drop} for e in report.per_nonedge
+        ],
+    }
+
+
+def _factor_critical(g: Graph, args) -> dict:
+    verdict = is_k_factor_critical_direct(g, args.k)
+    fields = {"k": args.k, "holds": verdict.holds}
+    if verdict.witness_failure is not None:
+        fields["witness_failure"] = sorted(verdict.witness_failure)
+    return fields
 
 
 def _cmd_construct(args) -> int:
@@ -185,11 +137,10 @@ def _cmd_scan(args) -> int:
         gamma2=args.gamma2,
         critical=args.critical,
     )
-    cache = _cache_from(args)
     saw_fail = False
     saw_error = False
     emitted = 0
-    for record in scan(_input_lines(args.input), hypotheses, args.depth, args.workers, cache):
+    for record in scan(_input_lines(args.input), hypotheses, args.depth, args.workers, args.cache):
         print(record_to_json(record))
         emitted += 1
         if "error" in record:
@@ -204,39 +155,31 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cache = _cache_from(args)
-    if args.input is not None:
-        graphs = []
-        for index, line in enumerate(_input_lines(args.input)):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                graphs.append(from_graph6(text))
-            except Graph6Error as exc:
-                print(f"error: line {index}: {exc}", file=sys.stderr)
-                return USAGE
-        corpus = iter(graphs)
+    if args.input is None:
+        default_order = 9 if args.check == "theorem1" else 8
+        corpus = default_corpus(args.check, args.max_order or default_order)
     else:
-        corpus = default_corpus(args.check, args.max_order)
-    runner = {
-        "lemma1": verify_lemma1,
-        "lemma2": verify_lemma2,
-        "lemma3": verify_lemma3,
-        "obs1": verify_obs1,
-        "theorem1": verify_theorem1,
-    }[args.check]
-    summary = runner(corpus, cache=cache)
-    _emit(
-        {
-            "check": summary.name,
-            "examined": summary.examined,
-            "passed": summary.passed,
-            "failed": summary.failed,
-            "not_applicable": summary.not_applicable,
-            "violations": summary.violations,
-            "extras": summary.extras,
-        }
+        # the whole file is decoded first, so a bad line stops the run before
+        # any graph is checked or cached
+        corpus = []
+        for index, _, g in decode_lines(_input_lines(args.input)):
+            if isinstance(g, Graph6Error):
+                print(f"error: line {index}: {g}", file=sys.stderr)
+                return USAGE
+            corpus.append(g)
+    summary = run_campaign(args.check, corpus, cache=args.cache)
+    print(
+        record_to_json(
+            {
+                "check": summary.name,
+                "examined": summary.examined,
+                "passed": summary.passed,
+                "failed": summary.failed,
+                "not_applicable": summary.not_applicable,
+                "violations": summary.violations,
+                "extras": summary.extras,
+            }
+        )
     )
     print(summary.describe(), file=sys.stderr)
     return OK if summary.ok else ANY_FAIL
@@ -252,21 +195,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="property report for graph6 input")
     p.add_argument("graph", help="a graph6 line, or '-' to read lines from stdin")
     p.add_argument("--depth", choices=("fast", "full"), default="full")
-    p.add_argument("--cache", help="JSONL report cache file")
-    p.set_defaults(func=_cmd_analyze)
+    p.add_argument("--cache", type=ReportCache, help="JSONL report cache file")
+    p.set_defaults(func=_each_graph, record=_analyze)
 
     p = sub.add_parser("gamma2", help="double domination number")
     p.add_argument("graph", nargs="?", default="-")
-    p.set_defaults(func=_cmd_gamma2)
+    p.set_defaults(func=_each_graph, record=_gamma2)
 
     p = sub.add_parser("critical", help="edge-criticality report")
     p.add_argument("graph", nargs="?", default="-")
-    p.set_defaults(func=_cmd_critical)
+    p.set_defaults(func=_each_graph, record=_critical)
 
     p = sub.add_parser("factor-critical", help="k-factor-criticality, direct test")
     p.add_argument("graph", nargs="?", default="-")
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_factor_critical)
+    p.set_defaults(func=_each_graph, record=_factor_critical)
 
     p = sub.add_parser("construct", help="emit a family member as graph6")
     fam = p.add_subparsers(dest="family", required=True)
@@ -282,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="filter graph6 lines and emit JSONL records")
     p.add_argument("input", nargs="?", default=None, help="graph6 file, default stdin")
     p.add_argument("--depth", choices=("fast", "full"), default="full")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--cache", help="JSONL report cache file")
+    p.add_argument("--workers", type=positive_int, default=1)
+    p.add_argument("--cache", type=ReportCache, help="JSONL report cache file")
     p.add_argument("--connected", action="store_true")
     p.add_argument("--odd-order", action="store_true")
     p.add_argument("--min-degree", type=int, default=None)
@@ -295,10 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", help="run a named exhaustive campaign")
-    p.add_argument("check", choices=("lemma1", "lemma2", "lemma3", "obs1", "theorem1"))
-    p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--input", help="graph6 corpus file overriding the built-in enumeration")
-    p.add_argument("--cache", help="JSONL report cache file")
+    p.add_argument("check", choices=tuple(CHECKS))
+    source = p.add_mutually_exclusive_group()
+    source.add_argument(
+        "--max-order", type=positive_int, help="order cap of the built-in corpus (default 9 for theorem1, else 8)"
+    )
+    source.add_argument("--input", help="graph6 corpus file overriding the built-in enumeration")
+    p.add_argument("--cache", type=ReportCache, help="JSONL report cache file")
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -307,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.max_order is None:
-        args.max_order = 9 if args.check == "theorem1" else 8
     try:
         return args.func(args)
     except BrokenPipeError:  # downstream closed the pipe, not an error

@@ -440,20 +440,32 @@ class Hypotheses:
         return True
 
 
+def decode_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, Union[Graph, Graph6Error]]]:
+    """Each non-blank graph6 line as ``(input_index, text, graph or decode error)``.
+
+    Blank lines yield nothing but still count in the index, so an index
+    names the line of the input it came from.
+    """
+    for index, line in enumerate(lines):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            decoded = from_graph6(text)
+        except Graph6Error as exc:
+            decoded = exc
+        yield index, text, decoded
+
+
 def _scan_one(
-    item: tuple[int, str],
+    item: tuple[int, str, Union[Graph, Graph6Error]],
     hypotheses: Hypotheses,
     depth: str,
     cache: Optional["ReportCache"],
 ) -> Optional[dict]:
-    index, line = item
-    text = line.strip()
-    if not text:
-        return None
-    try:
-        g = from_graph6(text)
-    except Graph6Error as exc:
-        return {"input_index": index, "graph6": text, "error": str(exc)}
+    index, text, g = item
+    if isinstance(g, Graph6Error):
+        return {"input_index": index, "graph6": text, "error": str(g)}
     facts = GraphFacts(g)
     if not hypotheses.fast_pass(facts):
         return None
@@ -486,7 +498,7 @@ def scan(
     """
     if depth not in ("fast", "full"):
         raise ValueError("depth must be 'fast' or 'full'")
-    items = ((i, line) for i, line in enumerate(lines))
+    items = decode_lines(lines)
     if workers <= 1:
         for item in items:
             record = _scan_one(item, hypotheses, depth, cache)
@@ -538,12 +550,21 @@ class CampaignSummary:
         )
 
 
-def _campaign(name: str, graphs: Iterable[Graph], cache: Optional["ReportCache"] = None) -> CampaignSummary:
+# Lemma 2's forward direction is checked on the 1,s,t,1 clique chains with
+# s, t up to this bound.
+_LEMMA2_CHAIN_MAX = 4
+
+
+def run_campaign(name: str, graphs: Iterable[Graph], cache: Optional["ReportCache"] = None) -> CampaignSummary:
     """Run one named check over a corpus.
 
     Without a cache each graph gets a fresh memo and only the fields the
     check reads are computed; with one, the full report is taken (from the
     cache, or computed and stored) so the cache keeps holding full reports.
+    ``lemma1`` tallies the diameters of its passes; ``lemma2`` adds the
+    forward direction of the classification, that every 1,s,t,1 clique chain
+    is 4-critical with diameter 3 (the corpus check is the converse);
+    ``theorem1`` tallies the exceptional family members it meets.
     """
     check = CHECKS[name]
     summary = CampaignSummary(name)
@@ -557,53 +578,21 @@ def _campaign(name: str, graphs: Iterable[Graph], cache: Optional["ReportCache"]
             hist[facts.diameter] = hist.get(facts.diameter, 0) + 1
         if name == "theorem1" and verdict["status"] != NOT_APPLICABLE and facts.in_family_H:
             family[facts.canonical_id] = family.get(facts.canonical_id, 0) + 1
+    if name == "lemma2":
+        forward_failures = []
+        for s, t in itertools.product(range(1, _LEMMA2_CHAIN_MAX + 1), repeat=2):
+            chain = clique_chain(1, s, t, 1)
+            report = crit.criticality_report(chain)
+            if not (report.is_critical and report.gamma2 == 4 and diameter(chain) == 3):
+                forward_failures.append({"s": s, "t": t})
+        summary.extras["forward_checked"] = _LEMMA2_CHAIN_MAX**2
+        summary.extras["forward_failures"] = forward_failures
+        summary.failed += len(forward_failures)
+        summary.violations.extend({"forward": f} for f in forward_failures)
     if name == "theorem1":
         summary.extras["family_classes"] = sorted(family)
         summary.extras["family_occurrences"] = family
     return summary
-
-
-def verify_lemma1(graphs: Iterable[Graph], cache=None) -> CampaignSummary:
-    """Connected edge-critical graphs with value 4 have diameter 2 or 3."""
-    return _campaign("lemma1", graphs, cache)
-
-
-def verify_lemma2(graphs: Iterable[Graph], s_max: int = 4, t_max: int = 4, cache=None) -> CampaignSummary:
-    """Both directions of the diameter-3 classification.
-
-    Forward: every 1,s,t,1 clique chain with s,t in range is edge critical
-    with value 4 and diameter 3. Converse: every corpus graph of diameter 3
-    that is 4-critical matches some clique chain (checked per graph).
-    """
-    summary = _campaign("lemma2", graphs, cache)
-    forward_failures = []
-    for s in range(1, s_max + 1):
-        for t in range(1, t_max + 1):
-            g = clique_chain(1, s, t, 1)
-            report = crit.criticality_report(g)
-            if not (report.is_critical and report.gamma2 == 4 and diameter(g) == 3):
-                forward_failures.append({"s": s, "t": t})
-    summary.extras["forward_checked"] = s_max * t_max
-    summary.extras["forward_failures"] = forward_failures
-    if forward_failures:
-        summary.failed += len(forward_failures)
-        summary.violations.extend({"forward": f} for f in forward_failures)
-    return summary
-
-
-def verify_lemma3(graphs: Iterable[Graph], cache=None) -> CampaignSummary:
-    """Star-free edge-critical graphs with value 4 have independence at most r."""
-    return _campaign("lemma3", graphs, cache)
-
-
-def verify_obs1(graphs: Iterable[Graph], cache=None) -> CampaignSummary:
-    """Minimum sets of every single-edge augmentation meet the new edge."""
-    return _campaign("obs1", graphs, cache)
-
-
-def verify_theorem1(graphs: Iterable[Graph], cache=None) -> CampaignSummary:
-    """Main claim on an exhaustive corpus; also tallies the family members."""
-    return _campaign("theorem1", graphs, cache)
 
 
 @dataclass

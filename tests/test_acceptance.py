@@ -33,12 +33,8 @@ from ddcrit.harness import (
     analyze,
     matching_clique_chain,
     record_to_json,
+    run_campaign,
     scan,
-    verify_lemma1,
-    verify_lemma2,
-    verify_lemma3,
-    verify_obs1,
-    verify_theorem1,
 )
 from ddcrit.matching import (
     _has_pm_minus,
@@ -105,7 +101,7 @@ def test_criterion_2_sharpness_example():
 
 def test_criterion_3_diameter3_classification_both_directions(connected_upto_8):
     start = time.perf_counter()
-    summary = verify_lemma2(connected_upto_8, s_max=4, t_max=4)
+    summary = run_campaign("lemma2", connected_upto_8)
     converse_ok = summary.failed == 0
     forward_ok = not summary.extras["forward_failures"]
     # spot check the converse logic on the chains themselves
@@ -124,7 +120,7 @@ def test_criterion_3_diameter3_classification_both_directions(connected_upto_8):
 
 def test_criterion_4_diameter_bound_exhaustive(connected_upto_8):
     start = time.perf_counter()
-    summary = verify_lemma1(connected_upto_8)
+    summary = run_campaign("lemma1", connected_upto_8)
     diam_counts = summary.extras.get("diameter_counts", {})
     ok = (
         summary.failed == 0
@@ -142,7 +138,7 @@ def test_criterion_4_diameter_bound_exhaustive(connected_upto_8):
 
 def test_criterion_5_independence_bound_exhaustive(connected_upto_8):
     start = time.perf_counter()
-    summary = verify_lemma3(connected_upto_8)
+    summary = run_campaign("lemma3", connected_upto_8)
     elapsed = time.perf_counter() - start
     _report(
         5,
@@ -154,7 +150,7 @@ def test_criterion_5_independence_bound_exhaustive(connected_upto_8):
 
 def test_criterion_6_minimum_sets_meet_added_edge(connected_upto_8):
     start = time.perf_counter()
-    summary = verify_obs1(connected_upto_8)
+    summary = run_campaign("obs1", connected_upto_8)
     elapsed = time.perf_counter() - start
     _report(
         6,
@@ -166,7 +162,7 @@ def test_criterion_6_minimum_sets_meet_added_edge(connected_upto_8):
 
 def test_criterion_7_main_theorem_campaign(theorem1_corpus):
     start = time.perf_counter()
-    summary = verify_theorem1(theorem1_corpus)
+    summary = run_campaign("theorem1", theorem1_corpus)
     family = summary.extras["family_classes"]
     ok = (
         summary.failed == 0

@@ -19,8 +19,8 @@ from ddcrit.harness import (
     compute_verdicts,
     default_corpus,
     record_to_json,
+    run_campaign,
     scan,
-    verify_theorem1,
 )
 from oracles import eager_verdicts
 
@@ -65,7 +65,7 @@ def test_campaign_output_is_pinned_at_order_7(check, capsys):
 
 
 def test_theorem1_campaign_is_pinned_at_order_9(theorem1_corpus):
-    summary = verify_theorem1(theorem1_corpus)
+    summary = run_campaign("theorem1", theorem1_corpus)
     assert (summary.examined, summary.passed, summary.failed, summary.not_applicable) == (1544, 18, 0, 1526)
     assert summary.extras["family_classes"] == ["HwCZ|z\\"]
     assert summary.extras["family_occurrences"] == {"HwCZ|z\\": 1}
@@ -97,7 +97,7 @@ def test_theorem1_runs_expensive_tests_only_past_cheaper_hypotheses(monkeypatch)
     criticality = _count_calls(monkeypatch, "_criticality_report")
     membership = _count_calls(monkeypatch, "is_in_family_H")
     factor = _count_calls(monkeypatch, "is_k_factor_critical_direct")
-    summary = verify_theorem1(corpus)
+    summary = run_campaign("theorem1", corpus)
     assert (summary.passed, summary.failed, summary.not_applicable) == (2, 0, 5)
     name = to_graph6
     # h_6t has a claw, K9 has gamma2 2 and C9 minimum degree 2

@@ -1,9 +1,11 @@
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from ddcrit.cli import main
 from ddcrit.constructions import clique_chain, h_6t, h_r33, h_r33_triple
 from ddcrit.criticality import FAIL, NOT_APPLICABLE, PASS
 from ddcrit.graphs import Graph, canonical_key, is_connected, to_graph6
@@ -203,16 +205,16 @@ def test_scan_surfaces_family_class_under_main_hypotheses(theorem1_corpus):
 
 
 def test_campaigns_on_singleton_corpora():
-    from ddcrit.harness import verify_lemma1, verify_theorem1
+    from ddcrit.harness import run_campaign
 
-    p4 = verify_lemma1([Graph.path(4)])
+    p4 = run_campaign("lemma1", [Graph.path(4)])
     assert p4.passed == 1 and p4.extras["diameter_counts"] == {3: 1}
-    c6 = verify_lemma1([Graph.cycle(6)])
+    c6 = run_campaign("lemma1", [Graph.cycle(6)])
     assert c6.not_applicable == 1 and c6.ok
-    family = verify_theorem1([h_r33(5)])
+    family = run_campaign("theorem1", [h_r33(5)])
     assert family.passed == 1
     assert family.extras["family_classes"] == [canonical_key(h_r33(5)).decode("ascii")]
-    sharp = verify_theorem1([h_6t(3)])
+    sharp = run_campaign("theorem1", [h_6t(3)])
     assert sharp.not_applicable == 1  # fails the claw-free hypothesis
 
 
@@ -333,6 +335,21 @@ def test_cli_scan_stdin_exit_codes(tmp_path):
     assert any("error" in r for r in records)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "-"], ["gamma2"], ["critical"], ["factor-critical", "--k", "1"], ["scan"]],
+    ids=lambda argv: argv[0],
+)
+def test_cli_line_commands_report_a_bad_line_and_go_on(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\n\n!!!\nB?\n"))
+    assert main(argv) == 2
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    # the blank line 1 gets no record but keeps its index
+    assert [(r["input_index"], r["graph6"]) for r in records] == [(0, "Bw"), (2, "!!!"), (3, "B?")]
+    assert records[1] == {"input_index": 2, "graph6": "!!!", "error": "byte 33 outside graph6 range 63..126 at byte 0"}
+    assert "error" not in records[0]
+
+
 def test_cli_scan_determinism_across_workers(tmp_path, graphs_small):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("".join(_lines(graphs_small[5])))
@@ -359,6 +376,41 @@ def test_cli_verify_with_input_corpus(tmp_path):
     summary = json.loads(result.stdout)
     assert summary["passed"] == 1 and summary["not_applicable"] == 1
     assert summary["extras"]["family_classes"] == [canonical_key(h_r33(3)).decode("ascii")]
+
+
+def test_cli_verify_input_stops_at_a_bad_line_before_touching_the_cache(tmp_path, capsys):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(to_graph6(h_r33(3)) + "\n!!!\n" + to_graph6(h_6t(3)) + "\n")
+    cache = tmp_path / "reports.jsonl"
+    argv = ["verify", "theorem1", "--input", str(corpus), "--cache", str(cache)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 1: byte 33 outside graph6 range 63..126 at byte 0\n"
+    assert not cache.exists()
+    analyze(h_6t(3), "full", cache=ReportCache(cache))
+    before = cache.read_bytes()
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert cache.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "theorem1", "--input", "corpus.g6", "--max-order", "7"],
+        ["verify", "lemma1", "--max-order", "0"],
+        ["verify", "lemma1", "--max-order", "-3"],
+        ["scan", "--workers", "0"],
+        ["scan", "--workers", "-1"],
+    ],
+)
+def test_cli_rejects_conflicting_and_out_of_range_options(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage:" in err
 
 
 def test_cli_usage_error_exit_code():
