@@ -12,11 +12,12 @@ import sys
 from typing import Iterable, Optional
 
 from .constructions import ConstructionSpec
-from .criticality import FAIL, criticality_report
+from .criticality import FAIL
 from .domination import gamma_xk
 from .graphs import Graph, Graph6Error, to_graph6
 from .harness import (
     CHECKS,
+    GraphFacts,
     Hypotheses,
     ReportCache,
     analyze,
@@ -91,7 +92,10 @@ def _gamma2(g: Graph, args) -> dict:
 
 
 def _critical(g: Graph, args) -> dict:
-    report = criticality_report(g)
+    facts = GraphFacts(g)
+    report = facts.criticality
+    if report is None:  # an isolated vertex or a disconnected graph, reported as analyze does
+        return {"gamma2": facts.gamma2, "critical": None, "vacuous": None, "per_nonedge": []}
     return {
         "gamma2": report.gamma2,
         "critical": report.is_critical,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 from .graphs import Graph, canonical_key
 
@@ -114,12 +115,16 @@ def _family_key(r: int) -> bytes:
     return canonical_key(h_r33(r))
 
 
-def is_in_family_H(g: Graph) -> bool:
-    """Membership in the exceptional family: isomorphic to some h_r33(r)."""
+def is_in_family_H(g: Graph, key: Optional[bytes] = None) -> bool:
+    """Membership in the exceptional family: isomorphic to some h_r33(r).
+
+    ``key``, when the caller already holds it, is the canonical key of ``g``
+    and saves labeling the graph again.
+    """
     r = g.n - 6
     if r < 3 or r % 2 == 0:
         return False
-    return canonical_key(g) == _family_key(r)
+    return (canonical_key(g) if key is None else key) == _family_key(r)
 
 
 @dataclass(frozen=True, slots=True)

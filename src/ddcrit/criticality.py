@@ -35,13 +35,18 @@ class CriticalityReport:
     vacuous: bool
 
 
-def criticality_report(g: Graph) -> CriticalityReport:
-    """Classify edge criticality by solving every single-edge augmentation."""
+def criticality_report(g: Graph, gamma2: Optional[int] = None) -> CriticalityReport:
+    """Classify edge criticality by solving every single-edge augmentation.
+
+    ``gamma2``, when the caller already knows it, is taken as the double
+    domination number of ``g`` instead of being solved again.
+    """
     if min_degree(g) < 1:
         raise ValueError("criticality needs minimum degree at least 1")
     if not is_connected(g):
         raise ValueError("criticality is defined for connected graphs only")
-    gamma2 = gamma_xk(g, 2).size
+    if gamma2 is None:
+        gamma2 = gamma_xk(g, 2).size
     entries = []
     for u, v in g.non_edges():
         after = gamma_xk(add_edge(g, u, v), 2).size

@@ -26,6 +26,13 @@ vertices has a vertex v of maximal invariant whose deletion lands on a stored
 class; extending that class by the neighborhood of v gives a child the filter
 keeps, and the output is unchanged while most children skip labeling.
 
+Children are not drawn from all 2^k neighborhoods: only those meeting the
+degree floor with a new vertex of largest degree are built, i.e. supersets of
+the parent's below-floor vertices whose size t reaches both the floor and the
+parent's maximum degree, leaving out vertices already of degree t (a parent
+with a vertex two below the floor has no child). The neighbor-degree sum is
+then computed only for the vertices whose degree ties the new vertex's.
+
 Results are sorted by canonical key, so output order is deterministic.
 """
 
@@ -76,29 +83,36 @@ def _claw_touching(rows: list[int], v: int) -> bool:
     return False
 
 
-def _vertex_invariants(rows: list[int]) -> list[tuple[int, int]]:
-    """Per-vertex (degree, sum of neighbor degrees); preserved by relabeling."""
-    degrees = [r.bit_count() for r in rows]
-    return [(degrees[v], sum(degrees[u] for u in _bits(row))) for v, row in enumerate(rows)]
+def _vertex_invariants(rows: list[int], vertices) -> list[tuple[int, int]]:
+    """(degree, sum of neighbor degrees) of each listed vertex; preserved by relabeling."""
+    return [(rows[v].bit_count(), sum(rows[u].bit_count() for u in _bits(rows[v]))) for v in vertices]
 
 
 def _extensions(parent: Graph, claw_free: bool, degree_floor: int):
     """Adjacency rows of the children whose new vertex has a maximal invariant."""
     k = parent.n
-    new = k  # label of the added vertex
-    for nbhd in range(1 << k):
-        rows = [r | ((nbhd >> v & 1) << new) for v, r in enumerate(parent.rows)]
-        rows.append(nbhd)
-        degrees = [r.bit_count() for r in rows]
-        # the degree alone, the invariant's first field, settles most children
-        if min(degrees) < degree_floor or degrees[new] < max(degrees):
-            continue
-        invariants = _vertex_invariants(rows)
-        if invariants[new] < max(invariants):
-            continue
-        if claw_free and _claw_touching(rows, new):
-            continue
-        yield tuple(rows)
+    new_bit = 1 << k
+    degrees = [r.bit_count() for r in parent.rows]
+    if min(degrees) < degree_floor - 1:
+        return
+    forced = sum(1 << v for v in range(k) if degrees[v] < degree_floor)
+    for t in range(max(max(degrees), degree_floor, forced.bit_count()), k + 1):
+        pool = [v for v in range(k) if not forced >> v & 1 and degrees[v] < t]
+        # child degrees that tie t: degree t - 1 plus the new vertex, or degree t
+        tie_in = sum(1 << v for v in range(k) if degrees[v] == t - 1)
+        tie_out = sum(1 << v for v in range(k) if degrees[v] == t)
+        for extra in itertools.combinations(pool, t - forced.bit_count()):
+            nbhd = forced | sum(1 << v for v in extra)
+            rows = [r | new_bit if nbhd >> v & 1 else r for v, r in enumerate(parent.rows)]
+            rows.append(nbhd)
+            tied = (nbhd & tie_in) | tie_out
+            if tied:
+                invariants = _vertex_invariants(rows, [*_bits(tied), k])
+                if invariants[-1] < max(invariants):
+                    continue
+            if claw_free and _claw_touching(rows, k):
+                continue
+            yield tuple(rows)
 
 
 def _levels(n: int, claw_free: bool, final_min_degree: Optional[int]) -> Iterator[list[Graph]]:

@@ -453,24 +453,47 @@ def independence_number(g: Graph) -> tuple[int, frozenset]:
 def _equitable_refine(rows: tuple[int, ...], n: int, colors: list[int]) -> list[int]:
     """Refine a coloring by iterated neighbor-color counting until stable.
 
-    Output colors are dense 0..k-1 and respect the input order (a vertex with
-    a smaller input color never ends up with a larger output color than a
-    cellmate would allow), which keeps the procedure relabeling-invariant.
+    Each round splits every cell by its members' neighbor counts in the
+    cells, parts in count order and in the cell's place, so output colors
+    are dense 0..k-1, follow the input order, and are relabeling-invariant.
+    Singleton cells are skipped, and after the first round only the parts
+    split off in the last round, less the last part of each split cell, are
+    counted against: the other counts are equal within every cell, so the
+    order is the one full count vectors give. Stops when no cell splits.
     """
+    by_color: dict[int, int] = {}
+    for v in range(n):
+        by_color[colors[v]] = by_color.get(colors[v], 0) | (1 << v)
+    cells = [by_color[c] for c in sorted(by_color)]
+    splitters = cells
     while True:
-        masks: dict[int, int] = {}
-        for v in range(n):
-            masks[colors[v]] = masks.get(colors[v], 0) | (1 << v)
-        cell_masks = [masks[c] for c in sorted(masks)]
-        sigs = []
-        for v in range(n):
-            rv = rows[v]
-            sigs.append((colors[v], tuple((rv & m).bit_count() for m in cell_masks)))
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if new == colors:
-            return new
-        colors = new
+        refined = []
+        new_splitters = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:  # singleton
+                refined.append(cell)
+                continue
+            parts: dict[tuple[int, ...], int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                rv = rows[low.bit_length() - 1]
+                sig = tuple([(rv & m).bit_count() for m in splitters])
+                parts[sig] = parts.get(sig, 0) | low
+            ordered = [parts[s] for s in sorted(parts)]
+            refined.extend(ordered)
+            new_splitters.extend(ordered[:-1])
+        if not new_splitters:
+            break
+        cells, splitters = refined, new_splitters
+    out = [0] * n
+    for color, cell in enumerate(cells):
+        while cell:
+            low = cell & -cell
+            cell ^= low
+            out[low.bit_length() - 1] = color
+    return out
 
 
 def _canonical(rows: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -479,7 +502,9 @@ def _canonical(rows: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[in
     Backtracks over every refinement cell, individualizing each vertex in
     the first smallest non-singleton cell, and keeps the lexicographically
     least relabeled adjacency. Automorphisms discovered at equal leaves
-    prune branches that merely permute an already-explored subtree.
+    prune branches that merely permute an already-explored subtree. The
+    codes depend on the order of the colors ``_equitable_refine`` returns,
+    so a faster refinement must keep that order, not just the partition.
     """
     best_code: Optional[tuple[int, ...]] = None
     best_perm: Optional[tuple[int, ...]] = None

@@ -171,14 +171,19 @@ class GraphFacts:
         return gamma.size if gamma.feasible else None
 
     @cached_property
-    def critical(self) -> Optional[bool]:
+    def criticality(self) -> Optional[crit.CriticalityReport]:
+        """None outside the domain: an isolated vertex, or a disconnected graph."""
         if self.gamma2 is None or not is_connected(self.g):
             return None
-        return _criticality_report(self.g).is_critical
+        return _criticality_report(self.g, self.gamma2)
+
+    @cached_property
+    def critical(self) -> Optional[bool]:
+        return None if self.criticality is None else self.criticality.is_critical
 
     @cached_property
     def in_family_H(self) -> bool:
-        return is_in_family_H(self.g)
+        return is_in_family_H(self.g, self.canonical_id.encode("ascii"))
 
     def factor_verdict(self, k: int) -> Optional[FactorCriticalityVerdict]:
         """Direct k-factor-criticality test; None when k > n or n - k is odd."""
@@ -297,7 +302,7 @@ def _obs1(f: GraphFacts) -> dict:
     """Minimum sets of every augmentation meet the new edge."""
     if f.diameter is None or not f.critical:
         return _verdict(NOT_APPLICABLE)
-    obs = crit.check_observation1(f.g, _criticality_report(f.g))
+    obs = crit.check_observation1(f.g, f.criticality)
     if obs.ok:
         return _verdict(PASS)
     u, v, dds = obs.counterexample

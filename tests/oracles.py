@@ -123,6 +123,53 @@ def unpruned_levels(n: int, claw_free: bool = False, final_min_degree=None):
         yield level
 
 
+def full_signature_refine(rows, n: int, colors: list[int]) -> list[int]:
+    """Equitable refinement that re-signs every vertex against every cell.
+
+    The library's refinement before it became cell-local: each round every
+    vertex gets (its color, its neighbor counts in all cells), the colors are
+    the ranks of those signatures, and rounds repeat until the coloring is
+    unchanged. The library must return exactly this coloring.
+    """
+    while True:
+        masks: dict[int, int] = {}
+        for v in range(n):
+            masks[colors[v]] = masks.get(colors[v], 0) | (1 << v)
+        cell_masks = [masks[c] for c in sorted(masks)]
+        sigs = []
+        for v in range(n):
+            rv = rows[v]
+            sigs.append((colors[v], tuple((rv & m).bit_count() for m in cell_masks)))
+        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if new == colors:
+            return new
+        colors = new
+
+
+def all_extensions(parent: Graph, claw_free: bool, degree_floor: int):
+    """Rows of every child the enumerator keeps, found by trying all 2^k neighborhoods.
+
+    The library's child generator before it built only degree-feasible
+    neighborhoods: every neighborhood of the new vertex is built, then the
+    degree floor, the maximal-degree and maximal-invariant tests and the
+    claw test drop children.
+    """
+    k = parent.n
+    for nbhd in range(1 << k):
+        rows = [r | ((nbhd >> v & 1) << k) for v, r in enumerate(parent.rows)]
+        rows.append(nbhd)
+        degrees = [r.bit_count() for r in rows]
+        if min(degrees) < degree_floor or degrees[k] < max(degrees):
+            continue
+        invariants = [(degrees[v], sum(degrees[u] for u in _bits(row))) for v, row in enumerate(rows)]
+        if invariants[k] < max(invariants):
+            continue
+        if claw_free and _claw_touching(rows, k):
+            continue
+        yield tuple(rows)
+
+
 def eager_verdicts(g: Graph, report) -> dict:
     """The five named checks read from a full report, every hypothesis tested.
 

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from ddcrit import harness
+from ddcrit import constructions, harness
+from ddcrit import criticality as crit
 from ddcrit.cli import main
-from ddcrit.constructions import h_6t, h_r33
+from ddcrit.constructions import h_6t, h_r33, is_in_family_H
 from ddcrit.graphs import Graph, canonical_key, from_graph6, to_graph6
 from ddcrit.harness import (
     CHECKS,
@@ -102,9 +103,46 @@ def test_theorem1_runs_expensive_tests_only_past_cheaper_hypotheses(monkeypatch)
     name = to_graph6
     # h_6t has a claw, K9 has gamma2 2 and C9 minimum degree 2
     assert connectivity == [(name(g),) for g in (family, outside, two_conn, not_crit)]
-    assert criticality == [(name(g),) for g in (family, outside, not_crit)]
-    assert membership == [(name(g),) for g in (family, outside)]
+    # each memo hands its gamma2 and its canonical key on instead of recomputing them
+    assert criticality == [(name(g), 4) for g in (family, outside, not_crit)]
+    assert membership == [(name(g), canonical_key(g)) for g in (family, outside)]
     assert factor == [(name(outside), 3)]  # the family member passes without it
+
+
+def test_criticality_reuses_the_memos_gamma2(monkeypatch):
+    g = h_r33(3)
+    harness._criticality_report.cache_clear()
+    solved = []
+    for module in (harness, crit):
+        original = module.gamma_xk
+
+        def counted(h, k, original=original):
+            solved.append((to_graph6(h), k))
+            return original(h, k)
+
+        monkeypatch.setattr(module, "gamma_xk", counted)
+    assert GraphFacts(g).critical is True
+    # g itself once, then one solve per augmentation
+    assert len(solved) == 1 + len(g.non_edges())
+    assert solved.count((to_graph6(g), 2)) == 1
+
+
+def test_memo_labels_its_graph_once(monkeypatch):
+    g = h_r33(5)
+    assert is_in_family_H(g)  # warms the family's own key
+    labeled = []
+    for module in (harness, constructions):
+        original = module.canonical_key
+
+        def counted(h, original=original):
+            labeled.append(to_graph6(h))
+            return original(h)
+
+        monkeypatch.setattr(module, "canonical_key", counted)
+    facts = GraphFacts(g)
+    assert facts.in_family_H is True
+    assert facts.canonical_id == canonical_key(h_r33(5)).decode("ascii")
+    assert labeled == [to_graph6(g)]
 
 
 def test_scan_computes_each_field_once(monkeypatch):

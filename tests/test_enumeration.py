@@ -1,8 +1,12 @@
+import collections
 import random
 
 import pytest
 
+from ddcrit import enumeration
 from ddcrit.enumeration import (
+    _extensions,
+    _levels,
     _vertex_invariants,
     connected_graphs,
     enumerate_graphs,
@@ -10,7 +14,7 @@ from ddcrit.enumeration import (
     naive_all_graphs,
 )
 from ddcrit.graphs import Graph, canonical_key, is_connected, is_k1r_free, min_degree, relabel, to_graph6
-from oracles import unpruned_levels
+from oracles import all_extensions, unpruned_levels
 
 # class counts per order, cross-checked between the two generators below
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -99,6 +103,41 @@ def test_vertex_invariants_follow_relabeling(graphs_small):
         for g in graphs_small[n]:
             perm = list(range(n))
             rng.shuffle(perm)
-            before = _vertex_invariants(g.rows)
-            after = _vertex_invariants(relabel(g, perm).rows)
+            before = _vertex_invariants(g.rows, range(n))
+            after = _vertex_invariants(relabel(g, perm).rows, range(n))
             assert [after[perm[v]] for v in range(n)] == before
+
+
+def test_feasible_neighborhoods_match_all_neighborhoods_oracle(graphs_small):
+    for n in range(1, 8):
+        for parent in graphs_small[n]:
+            assert sorted(_extensions(parent, False, 0)) == sorted(all_extensions(parent, False, 0))
+    # floors the level builder never pairs with these parents, down to
+    # parents with a vertex two or more below the floor
+    for n in range(1, 7):
+        for parent in graphs_small[n]:
+            for floor in range(1, 5):
+                assert sorted(_extensions(parent, False, floor)) == sorted(all_extensions(parent, False, floor))
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_feasible_neighborhoods_match_oracle_claw_free(degree):
+    for n in range(2, 10):
+        *parent_levels, _ = _levels(n, True, degree)
+        for k, level in enumerate(parent_levels, start=1):
+            floor = degree - (n - k - 1)  # the floor of the children's level
+            for parent in level:
+                assert sorted(_extensions(parent, True, floor)) == sorted(all_extensions(parent, True, floor))
+
+
+def test_labelings_per_level_are_pinned(monkeypatch):
+    calls = collections.Counter()
+    original = enumeration._canonical
+
+    def counted(rows, n):
+        calls[n] += 1
+        return original(rows, n)
+
+    monkeypatch.setattr(enumeration, "_canonical", counted)
+    enumerate_graphs(9, claw_free=True, final_min_degree=4)
+    assert [calls[k] for k in range(2, 10)] == [2, 5, 15, 52, 101, 291, 693, 2653]

@@ -5,6 +5,7 @@ import pytest
 from ddcrit.graphs import (
     Graph,
     Graph6Error,
+    _equitable_refine,
     add_edge,
     canonical_key,
     closed_neighborhood,
@@ -22,7 +23,7 @@ from ddcrit.graphs import (
     to_graph6,
     vertex_connectivity,
 )
-from oracles import brute_independence_number
+from oracles import brute_independence_number, full_signature_refine
 
 # -- construction and validation ----------------------------------------------
 
@@ -301,6 +302,44 @@ def test_canonical_key_separates_all_small_classes(graphs_small):
     for n in range(1, 7):
         class_keys = [canonical_key(g) for g in graphs_small[n]]
         assert len(set(class_keys)) == len(class_keys)
+
+
+def _individualizations(colors):
+    """What the canonical search refines next: one vertex split off its cell."""
+    for v in range(len(colors)):
+        child = [2 * c for c in colors]
+        child[v] -= 1
+        yield child
+
+
+def _assert_refinement_matches_oracle(rows, n, colors):
+    expected = full_signature_refine(rows, n, colors)
+    assert _equitable_refine(rows, n, colors) == expected
+    return expected
+
+
+def test_cell_local_refinement_matches_full_signature_oracle(graphs_small):
+    rng = random.Random(13)
+    for n in range(1, 8):
+        for g in graphs_small[n]:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            rows = relabel(g, perm).rows
+            unit = [0] * n
+            refined = _assert_refinement_matches_oracle(rows, n, unit)
+            for child in [*_individualizations(unit), *_individualizations(refined)]:
+                _assert_refinement_matches_oracle(rows, n, child)
+
+
+def test_cell_local_refinement_matches_oracle_on_random_graphs():
+    rng = random.Random(17)
+    for _ in range(2000):
+        n = rng.randint(9, 12)
+        p = rng.random()
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        refined = _assert_refinement_matches_oracle(g.rows, n, [0] * n)
+        for child in _individualizations(refined):
+            _assert_refinement_matches_oracle(g.rows, n, child)
 
 
 def test_is_isomorphic():

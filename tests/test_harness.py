@@ -8,7 +8,7 @@ import pytest
 from ddcrit.cli import main
 from ddcrit.constructions import clique_chain, h_6t, h_r33, h_r33_triple
 from ddcrit.criticality import FAIL, NOT_APPLICABLE, PASS
-from ddcrit.graphs import Graph, canonical_key, is_connected, to_graph6
+from ddcrit.graphs import Graph, canonical_key, from_graph6, is_connected, to_graph6
 from ddcrit.harness import (
     Hypotheses,
     ReportCache,
@@ -323,6 +323,22 @@ def test_cli_critical_subcommand():
     record = json.loads(result.stdout)
     assert record["critical"] is True and record["gamma2"] == 4
     assert all(e["drop"] >= 1 for e in record["per_nonedge"])
+
+
+def test_cli_critical_reports_graphs_outside_its_domain_as_analyze_does(monkeypatch, capsys):
+    isolated = "B?"  # two vertices, no edge
+    disconnected = to_graph6(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{isolated}\n{disconnected}\n"))
+    assert main(["critical"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    outside = {"critical": None, "vacuous": None, "per_nonedge": []}
+    assert records == [
+        {"input_index": 0, "graph6": isolated, "gamma2": None, **outside},
+        {"input_index": 1, "graph6": disconnected, "gamma2": 4, **outside},
+    ]
+    for record in records:
+        report = analyze(from_graph6(record["graph6"]), "full")
+        assert (report.gamma2, report.critical) == (record["gamma2"], record["critical"])
 
 
 def test_cli_scan_stdin_exit_codes(tmp_path):
