@@ -1,10 +1,10 @@
 """Exact combinatorics of double domination edge criticality on small graphs.
 
 The library computes double domination numbers, classifies edge criticality,
-decides factor criticality with two independent oracles, builds the relevant
-graph families, and machine-checks the structural claims over exhaustive
-small-graph corpora. Graphs live on at most 64 vertices and all operations
-are pure functions over immutable values.
+decides factor criticality, builds the relevant graph families, and
+machine-checks the structural claims over exhaustive small-graph corpora.
+Graphs live on at most 64 vertices and all operations are pure functions
+over immutable values.
 """
 
 from .graphs import (
@@ -33,7 +33,6 @@ from .matching import (
     ParityError,
     has_perfect_matching,
     is_k_factor_critical_direct,
-    is_k_factor_critical_favaron,
     maximum_matching,
 )
 from .criticality import (
@@ -42,7 +41,7 @@ from .criticality import (
     check_observation1,
     criticality_report,
 )
-from .constructions import ConstructionSpec, clique_chain, h_6t, h_r33, is_in_family_H, sequential_join
+from .constructions import clique_chain, h_6t, h_r33, is_in_family_H, sequential_join
 from .harness import Hypotheses, PropertyReport, ReportCache, analyze, scan
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 Graphs travel as graph6 text, one per line. JSONL records go to stdout and
 human summaries to stderr. Exit status: 0 when every check passed or was not
-applicable, 1 when any check failed, 2 on usage or decode errors.
+applicable, 1 when any check failed, 2 on usage or decode errors and when
+a file cannot be read or written.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 from typing import Iterable, Optional
 
-from .constructions import ConstructionSpec
+from .constructions import clique_chain, h_6t, h_r33
 from .criticality import FAIL
 from .domination import gamma_xk
 from .graphs import Graph, Graph6Error, to_graph6
@@ -36,7 +37,9 @@ def _input_lines(source: Optional[str]) -> Iterable[str]:
     if source is None or source == "-":
         yield from sys.stdin
     else:
-        with open(source, "r", encoding="ascii") as fh:
+        # a non-ASCII byte is read as a lone surrogate, so its line fails to
+        # decode as graph6 (with the byte's offset) instead of the whole file
+        with open(source, "r", encoding="ascii", errors="surrogateescape") as fh:
             yield from fh
 
 
@@ -115,14 +118,8 @@ def _factor_critical(g: Graph, args) -> dict:
 
 
 def _cmd_construct(args) -> int:
-    if args.family == "seqjoin":
-        spec = ConstructionSpec("seq_join", (args.s, args.t))
-    elif args.family == "hr33":
-        spec = ConstructionSpec("h_r33", (args.r,))
-    else:
-        spec = ConstructionSpec("h_6t", (args.t,))
     try:
-        g = spec.build()
+        g = args.build(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
@@ -144,7 +141,7 @@ def _cmd_scan(args) -> int:
     saw_fail = False
     saw_error = False
     emitted = 0
-    for record in scan(_input_lines(args.input), hypotheses, args.depth, args.workers, args.cache):
+    for record in scan(_input_lines(args.input), hypotheses, args.depth, args.cache):
         print(record_to_json(record))
         emitted += 1
         if "error" in record:
@@ -220,16 +217,18 @@ def build_parser() -> argparse.ArgumentParser:
     q = fam.add_parser("seqjoin", help="clique chain 1,s,t,1")
     q.add_argument("--s", type=int, required=True)
     q.add_argument("--t", type=int, required=True)
+    q.set_defaults(build=lambda a: clique_chain(1, a.s, a.t, 1))
     q = fam.add_parser("hr33", help="exceptional family member of order r+6")
     q.add_argument("--r", type=int, required=True)
+    q.set_defaults(build=lambda a: h_r33(a.r))
     q = fam.add_parser("h6t", help="sharpness example of order t+6")
     q.add_argument("--t", type=int, required=True)
+    q.set_defaults(build=lambda a: h_6t(a.t))
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("scan", help="filter graph6 lines and emit JSONL records")
     p.add_argument("input", nargs="?", default=None, help="graph6 file, default stdin")
     p.add_argument("--depth", choices=("fast", "full"), default="full")
-    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--cache", type=ReportCache, help="JSONL report cache file")
     p.add_argument("--connected", action="store_true")
     p.add_argument("--odd-order", action="store_true")
@@ -256,11 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)  # opens the --cache file
         return args.func(args)
     except BrokenPipeError:  # downstream closed the pipe, not an error
         return OK
+    except OSError as exc:  # an input, cache or output file that cannot be used
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,7 +17,6 @@ parts in numbered order) so downstream reports are stable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -125,25 +124,3 @@ def is_in_family_H(g: Graph, key: Optional[bytes] = None) -> bool:
     if r < 3 or r % 2 == 0:
         return False
     return (canonical_key(g) if key is None else key) == _family_key(r)
-
-
-@dataclass(frozen=True, slots=True)
-class ConstructionSpec:
-    """CLI-facing selector: which family and with which parameters."""
-
-    kind: str  # seq_join | h_r33 | h_6t
-    params: tuple[int, ...]
-
-    def build(self) -> Graph:
-        if self.kind == "seq_join":
-            s, t = self.params
-            if s < 1 or t < 1:
-                raise ValueError("seq_join needs s >= 1 and t >= 1")
-            return clique_chain(1, s, t, 1)
-        if self.kind == "h_r33":
-            (r,) = self.params
-            return h_r33(r)
-        if self.kind == "h_6t":
-            (t,) = self.params
-            return h_6t(t)
-        raise ValueError(f"unknown construction kind {self.kind!r}")

@@ -1,14 +1,9 @@
 """Built-in isomorph-free enumeration of small graphs.
 
-Two generators:
-
-* :func:`naive_all_graphs` walks every labeled graph and deduplicates by
-  canonical key. Exact and simple, usable up to 6 vertices.
-* :func:`enumerate_graphs` grows graphs one vertex at a time: every class on
-  k+1 vertices arises from some class on k vertices by attaching a new vertex
-  with some neighborhood, because deleting any vertex of the bigger graph
-  lands in the smaller level. Candidates are deduplicated per level by
-  canonical key.
+:func:`enumerate_graphs` grows graphs one vertex at a time: every class on
+k+1 vertices arises from some class on k vertices by attaching a new vertex
+with some neighborhood, because deleting any vertex of the bigger graph lands
+in the smaller level. Candidates are deduplicated per level by canonical key.
 
 The augmentation generator accepts two sound prunes:
 
@@ -41,28 +36,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional
 
-from .graphs import MAX_VERTICES, Graph, _bits, _canonical, canonical_key, is_connected
-
-NAIVE_MAX_VERTICES = 6
-
-
-def naive_all_graphs(n: int) -> list[Graph]:
-    """All graphs on n vertices up to isomorphism, by labeled enumeration."""
-    if not 1 <= n <= NAIVE_MAX_VERTICES:
-        raise ValueError(f"naive enumeration supports 1..{NAIVE_MAX_VERTICES} vertices")
-    pairs = list(itertools.combinations(range(n), 2))
-    seen: dict[bytes, Graph] = {}
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        for idx, (u, v) in enumerate(pairs):
-            if mask >> idx & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        g = Graph(n, tuple(rows))
-        key = canonical_key(g)
-        if key not in seen:
-            seen[key] = g
-    return [seen[k] for k in sorted(seen)]
+from .graphs import MAX_VERTICES, Graph, _bits, _canonical, is_connected
 
 
 def _claw_touching(rows: list[int], v: int) -> bool:

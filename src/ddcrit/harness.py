@@ -10,8 +10,8 @@ verdict reads and stops at the first hypothesis that fails. Full property
 reports are built from the same memo; with a report cache, campaigns and
 scans take the full report (computed once per class) and read their
 verdicts from it. Scan output is JSONL, one record per surviving input line,
-deterministic for a fixed input order and flag set regardless of worker
-count.
+deterministic for a fixed input order and flag set. A scan streams: it reads
+one input line at a time and emits its record before reading the next.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -34,7 +32,6 @@ from .graphs import (
     Graph,
     Graph6Error,
     canonical_key,
-    components,
     diameter,
     from_graph6,
     independence_number,
@@ -492,28 +489,20 @@ def scan(
     lines: Iterable[str],
     hypotheses: Hypotheses = Hypotheses(),
     depth: str = "full",
-    workers: int = 1,
     cache: Optional["ReportCache"] = None,
 ) -> Iterator[dict]:
     """One record per surviving input line, in input order.
 
-    Malformed lines yield error records and scanning continues. The worker
-    pool only spreads pure per-graph work and results are re-sequenced to
-    input order, so output does not depend on the worker count.
+    Malformed lines yield error records and scanning continues. Lines are
+    read lazily: a record is yielded before the line after it is read, so a
+    scan holds one graph at a time however long its input.
     """
     if depth not in ("fast", "full"):
         raise ValueError("depth must be 'fast' or 'full'")
-    items = decode_lines(lines)
-    if workers <= 1:
-        for item in items:
-            record = _scan_one(item, hypotheses, depth, cache)
-            if record is not None:
-                yield record
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for record in pool.map(lambda item: _scan_one(item, hypotheses, depth, cache), items):
-                if record is not None:
-                    yield record
+    for item in decode_lines(lines):
+        record = _scan_one(item, hypotheses, depth, cache)
+        if record is not None:
+            yield record
 
 
 def record_to_json(record: dict) -> str:
@@ -600,85 +589,6 @@ def run_campaign(name: str, graphs: Iterable[Graph], cache: Optional["ReportCach
     return summary
 
 
-@dataclass
-class Lemma789Result:
-    """Structure report for a hypothesis-satisfying graph that is not
-    3-factor-critical: a 3-set with exactly two odd components must exist,
-    and in the diameter-2 case the cut neighborhoods tile the components."""
-
-    status: str
-    reason: Optional[str] = None
-    cutsets: list = field(default_factory=list)
-    lemma8_status: str = NOT_APPLICABLE
-    lemma8_detail: Optional[dict] = None
-    lemma9_status: str = NOT_APPLICABLE
-
-
-def verify_lemma7_8_9(g: Graph) -> Lemma789Result:
-    facts = GraphFacts(g)
-    if not _theorem1_hypotheses(facts):
-        return Lemma789Result(NOT_APPLICABLE, "hypotheses not satisfied")
-    if facts.factor_critical_at(3):
-        return Lemma789Result(NOT_APPLICABLE, "graph is 3-factor-critical")
-
-    found = []
-    for combo in itertools.combinations(range(g.n), 3):
-        cut = frozenset(combo)
-        comps = components(g, cut)
-        odd = [c for c in comps if len(c) % 2 == 1]
-        if len(odd) == 2 and len(comps) == 2:
-            found.append((cut, comps))
-    if not found:
-        return Lemma789Result(FAIL, "no 3-set with exactly two odd components")
-
-    result = Lemma789Result(PASS)
-    result.cutsets = [sorted(cut) for cut, _ in found]
-    if facts.diameter == 2:
-        detail = {"checked": 0, "failures": []}
-        for cut, comps in found:
-            c1, c2 = comps
-            a_sets = [frozenset(v for v in c1 if g.adjacent(v, s)) for s in sorted(cut)]
-            b_sets = [frozenset(v for v in c2 if g.adjacent(v, s)) for s in sorted(cut)]
-            detail["checked"] += 1
-
-            def complete(sub: frozenset) -> bool:
-                return all(g.adjacent(u, v) for u in sub for v in sub if u < v)
-
-            ok = (
-                all(a and b for a, b in zip(a_sets, b_sets))
-                and all(complete(a) for a in a_sets)
-                and all(complete(b) for b in b_sets)
-                and frozenset().union(*a_sets) == c1
-                and frozenset().union(*b_sets) == c2
-                and any(a_sets[i] & a_sets[j] for i in range(3) for j in range(i + 1, 3))
-                and any(b_sets[i] & b_sets[j] for i in range(3) for j in range(i + 1, 3))
-            )
-            if not ok:
-                detail["failures"].append(sorted(cut))
-        result.lemma8_status = PASS if not detail["failures"] else FAIL
-        result.lemma8_detail = detail
-        if detail["failures"]:
-            result.status = FAIL
-    if not facts.in_family_H:
-        # outside the exceptional family the three cut neighborhoods on each
-        # side can have no common vertex
-        bad = []
-        for cut, comps in found:
-            c1, c2 = comps
-            meets_all_1 = frozenset(
-                v for v in c1 if all(g.adjacent(v, s) for s in cut)
-            )
-            meets_all_2 = frozenset(
-                v for v in c2 if all(g.adjacent(v, s) for s in cut)
-            )
-            if meets_all_1 or meets_all_2:
-                bad.append(sorted(cut))
-        result.lemma9_status = PASS if not bad else FAIL
-        if bad:
-            result.status = FAIL
-    return result
-
-
 # -- report cache ---------------------------------------------------------------
 
 
@@ -691,15 +601,16 @@ class ReportCache:
     def __init__(self, path):
         self.path = path
         self._entries: dict[str, PropertyReport] = {}
-        self._lock = threading.Lock()
         try:
-            with open(path, "r", encoding="ascii") as fh:
+            # a non-ASCII byte is read as a lone surrogate, which fails the
+            # encode below, so it spoils its own line only
+            with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
                 for lineno, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line:
                         continue
                     try:
-                        data = json.loads(line)
+                        data = json.loads(line.encode("ascii"))
                         report = PropertyReport.from_json_dict(data["report"])
                         self._entries[data["key"]] = report
                     except (ValueError, KeyError, TypeError):
@@ -714,15 +625,14 @@ class ReportCache:
         return self._entries.get(key)
 
     def store(self, key: str, report: PropertyReport) -> None:
-        with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = report
-            line = json.dumps(
-                {"key": key, "report": report.to_json_dict()}, sort_keys=True, separators=(",", ":")
-            )
-            with open(self.path, "a", encoding="ascii") as fh:
-                fh.write(line + "\n")
+        if key in self._entries:
+            return
+        self._entries[key] = report
+        line = json.dumps(
+            {"key": key, "report": report.to_json_dict()}, sort_keys=True, separators=(",", ":")
+        )
+        with open(self.path, "a", encoding="ascii") as fh:
+            fh.write(line + "\n")
 
 
 # -- built-in corpora ------------------------------------------------------------

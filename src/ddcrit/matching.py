@@ -1,10 +1,10 @@
-"""General-graph maximum matching and the two factor-criticality oracles.
+"""General-graph maximum matching and the direct factor-criticality test.
 
 The matching engine is a blossom-contraction augmenting search, dependency
-free and exact. Factor criticality is decided two independent ways: directly
-(delete every k-set, ask for a perfect matching) and through the odd-component
-counting criterion (o(G-S) <= |S|-k for every S with |S| >= k). The test suite
-cross-checks the two on every small graph.
+free and exact. Factor criticality is decided directly: delete every k-set,
+ask for a perfect matching. The test suite cross-checks it on every small
+graph against the odd-component counting criterion (o(G-S) <= |S|-k for
+every S with |S| >= k), which lives beside the tests.
 """
 
 from __future__ import annotations
@@ -14,17 +14,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, _bits, _component_masks
-
-FAVARON_MAX_VERTICES = 20
+from .graphs import Graph, _bits
 
 
 class ParityError(ValueError):
     """k-factor criticality needs n and k of equal parity."""
-
-
-class EnumerationBoundError(ValueError):
-    """Subset enumeration refused: the graph is too large for 2^n scanning."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,29 +161,4 @@ def is_k_factor_critical_direct(g: Graph, k: int) -> FactorCriticalityVerdict:
             mask |= 1 << v
         if not _has_pm_minus(g.rows, g.n, mask):
             return FactorCriticalityVerdict(k, False, frozenset(combo))
-    return FactorCriticalityVerdict(k, True)
-
-
-def is_k_factor_critical_favaron(g: Graph, k: int) -> FactorCriticalityVerdict:
-    """Odd-component criterion: o(G-S) <= |S|-k for every S with |S| >= k.
-
-    Enumerates subsets by size, then lexicographically, stopping at the first
-    violation; this is the secondary oracle, bounded to small graphs.
-    """
-    if not 0 <= k <= g.n:
-        raise ValueError(f"k must lie in 0..{g.n}")
-    if (g.n - k) % 2:
-        raise ParityError(f"n={g.n} and k={k} have different parities")
-    if g.n > FAVARON_MAX_VERTICES:
-        raise EnumerationBoundError(
-            f"subset enumeration capped at {FAVARON_MAX_VERTICES} vertices, got {g.n}"
-        )
-    for size in range(k, g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            odd = sum(1 for m in _component_masks(g, mask) if m.bit_count() % 2)
-            if odd > size - k:
-                return FactorCriticalityVerdict(k, False, frozenset(combo))
     return FactorCriticalityVerdict(k, True)

@@ -9,7 +9,8 @@ import itertools
 from functools import lru_cache
 
 from ddcrit.enumeration import _claw_touching
-from ddcrit.graphs import Graph, _bits, _canonical
+from ddcrit.graphs import Graph, _bits, _canonical, _component_masks, canonical_key
+from ddcrit.matching import FactorCriticalityVerdict, ParityError
 
 
 def brute_max_matching_size(g: Graph) -> int:
@@ -77,6 +78,38 @@ def exists_augmenting_path(g: Graph, matching) -> bool:
     return any(extend(s, frozenset([s])) for s in free)
 
 
+FAVARON_MAX_VERTICES = 20
+
+
+class EnumerationBoundError(ValueError):
+    """Subset enumeration refused: the graph is too large for 2^n scanning."""
+
+
+def is_k_factor_critical_favaron(g: Graph, k: int) -> FactorCriticalityVerdict:
+    """Odd-component criterion: o(G-S) <= |S|-k for every S with |S| >= k.
+
+    Enumerates subsets by size, then lexicographically, stopping at the first
+    violation; this is the secondary oracle, bounded to small graphs.
+    """
+    if not 0 <= k <= g.n:
+        raise ValueError(f"k must lie in 0..{g.n}")
+    if (g.n - k) % 2:
+        raise ParityError(f"n={g.n} and k={k} have different parities")
+    if g.n > FAVARON_MAX_VERTICES:
+        raise EnumerationBoundError(
+            f"subset enumeration capped at {FAVARON_MAX_VERTICES} vertices, got {g.n}"
+        )
+    for size in range(k, g.n + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            mask = 0
+            for v in combo:
+                mask |= 1 << v
+            odd = sum(1 for m in _component_masks(g, mask) if m.bit_count() % 2)
+            if odd > size - k:
+                return FactorCriticalityVerdict(k, False, frozenset(combo))
+    return FactorCriticalityVerdict(k, True)
+
+
 def brute_diameter(g: Graph):
     import collections
 
@@ -94,6 +127,28 @@ def brute_diameter(g: Graph):
             return None
         best = max(best, max(dist.values()))
     return best
+
+
+NAIVE_MAX_VERTICES = 6
+
+
+def naive_all_graphs(n: int) -> list[Graph]:
+    """All graphs on n vertices up to isomorphism, by labeled enumeration."""
+    if not 1 <= n <= NAIVE_MAX_VERTICES:
+        raise ValueError(f"naive enumeration supports 1..{NAIVE_MAX_VERTICES} vertices")
+    pairs = list(itertools.combinations(range(n), 2))
+    seen: dict[bytes, Graph] = {}
+    for mask in range(1 << len(pairs)):
+        rows = [0] * n
+        for idx, (u, v) in enumerate(pairs):
+            if mask >> idx & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        g = Graph(n, tuple(rows))
+        key = canonical_key(g)
+        if key not in seen:
+            seen[key] = g
+    return [seen[k] for k in sorted(seen)]
 
 
 def unpruned_levels(n: int, claw_free: bool = False, final_min_degree=None):

@@ -1,7 +1,6 @@
 import pytest
 
 from ddcrit.constructions import (
-    ConstructionSpec,
     _h_r33_with_matching,
     clique_chain,
     h_6t,
@@ -148,13 +147,3 @@ def test_family_membership():
     assert not is_in_family_H(h_6t(3))
     assert not is_in_family_H(Graph.complete(9))
     assert not is_in_family_H(Graph.complete(8))  # even order
-
-
-def test_construction_spec_builds():
-    assert ConstructionSpec("seq_join", (2, 3)).build().n == 7
-    assert ConstructionSpec("h_r33", (3,)).build() == h_r33(3)
-    assert ConstructionSpec("h_6t", (5,)).build() == h_6t(5)
-    with pytest.raises(ValueError):
-        ConstructionSpec("seq_join", (0, 3)).build()
-    with pytest.raises(ValueError):
-        ConstructionSpec("nope", ()).build()

@@ -11,10 +11,9 @@ from ddcrit.enumeration import (
     connected_graphs,
     enumerate_graphs,
     graphs_upto,
-    naive_all_graphs,
 )
 from ddcrit.graphs import Graph, canonical_key, is_connected, is_k1r_free, min_degree, relabel, to_graph6
-from oracles import all_extensions, unpruned_levels
+from oracles import all_extensions, naive_all_graphs, unpruned_levels
 
 # class counts per order, cross-checked between the two generators below
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}

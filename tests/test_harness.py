@@ -14,11 +14,10 @@ from ddcrit.harness import (
     ReportCache,
     analyze,
     compute_verdicts,
-    record_to_json,
     replay_verdict,
     scan,
-    verify_lemma7_8_9,
 )
+from lemma789 import verify_lemma7_8_9
 
 
 def _lines(graphs):
@@ -173,13 +172,24 @@ def test_scan_fast_depth_skips_solver_fields():
     assert "gamma2" not in records[0]["report"]
 
 
-def test_scan_deterministic_across_workers(graphs_small):
-    lines = _lines(graphs_small[6][:80])
-    outputs = []
-    for workers in (1, 2, 4):
-        records = scan(lines, Hypotheses(connected=True), depth="full", workers=workers)
-        outputs.append("\n".join(record_to_json(r) for r in records))
-    assert outputs[0] == outputs[1] == outputs[2]
+@pytest.mark.parametrize("depth", ["fast", "full"])
+def test_scan_reads_at_most_one_line_past_its_last_record(depth, graphs_small):
+    # disconnected graphs are filtered out, and a blank and a malformed line
+    # sit among the rest, so skipped lines are counted too
+    lines = _lines(graphs_small[5]) + ["\n", "!!!\n"] + _lines(graphs_small[4])
+    read = 0
+
+    def counting():
+        nonlocal read
+        for line in lines:
+            read += 1
+            yield line
+
+    emitted = 0
+    for record in scan(counting(), Hypotheses(connected=True), depth=depth):
+        assert read <= record["input_index"] + 2
+        emitted += 1
+    assert emitted == 21 + 1 + 6 and read == len(lines)
 
 
 def test_scan_surfaces_family_class_under_main_hypotheses(theorem1_corpus):
@@ -265,6 +275,19 @@ def test_cache_lookup_missing_and_corrupt(tmp_path, capsys):
     assert "corrupt cache line" in capsys.readouterr().err
 
 
+def test_cache_skips_a_line_with_a_non_ascii_byte(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    report = analyze(h_6t(3), "full", cache=ReportCache(path))
+    good = path.read_bytes()
+    # the first line is the same entry under a key with a non-ASCII byte in
+    # it: well-formed JSON once decoded, so only the byte marks it corrupt
+    path.write_bytes(good.replace(b'"key":"', b'"key":"\xc3\xa9', 1) + good)
+    cache = ReportCache(path)
+    assert cache.lookup(report.canonical_id) == report
+    assert cache.lookup("\udcc3\udca9" + report.canonical_id) is None
+    assert "skipping corrupt cache line 1 " in capsys.readouterr().err
+
+
 def test_cached_analyze_returns_identical_report(tmp_path):
     cache = ReportCache(tmp_path / "c.jsonl")
     g = h_6t(3)
@@ -299,6 +322,17 @@ def test_cli_construct_and_analyze_pipeline():
 def test_cli_construct_rejects_bad_parameters():
     result = run_cli(["construct", "hr33", "--r", "4"])
     assert result.returncode == 2
+    assert run_cli(["construct", "seqjoin", "--s", "0", "--t", "3"]).returncode == 2
+
+
+def test_cli_construct_builds_each_family(capsys):
+    for argv, expected in (
+        (["seqjoin", "--s", "2", "--t", "3"], clique_chain(1, 2, 3, 1)),
+        (["hr33", "--r", "3"], h_r33(3)),
+        (["h6t", "--t", "5"], h_6t(5)),
+    ):
+        assert main(["construct", *argv]) == 0
+        assert from_graph6(capsys.readouterr().out) == expected
 
 
 def test_cli_gamma2_and_factor_critical():
@@ -366,14 +400,39 @@ def test_cli_line_commands_report_a_bad_line_and_go_on(argv, monkeypatch, capsys
     assert "error" not in records[0]
 
 
-def test_cli_scan_determinism_across_workers(tmp_path, graphs_small):
+NON_ASCII_CORPUS = b"Bw\nB\xc3\xa9\nBw\n"
+
+
+def test_cli_scan_reports_a_non_ascii_byte_in_a_file_and_goes_on(tmp_path, capsys):
     corpus = tmp_path / "corpus.g6"
-    corpus.write_text("".join(_lines(graphs_small[5])))
-    runs = [
-        run_cli(["scan", str(corpus), "--connected", "--workers", str(w)]).stdout
-        for w in (1, 3)
-    ]
-    assert runs[0] == runs[1]
+    corpus.write_bytes(NON_ASCII_CORPUS)
+    assert main(["scan", str(corpus), "--depth", "fast"]) == 2
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["input_index"] for r in records] == [0, 1, 2]
+    assert records[1]["error"] == "non-ASCII byte at byte 1"
+    assert "error" not in records[0] and "error" not in records[2]
+
+
+def test_cli_verify_input_stops_at_a_non_ascii_byte(tmp_path, capsys):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_bytes(NON_ASCII_CORPUS)
+    assert main(["verify", "lemma1", "--input", str(corpus)]) == 2
+    assert capsys.readouterr() == ("", "error: line 1: non-ASCII byte at byte 1\n")
+
+
+def test_cli_reports_a_file_it_cannot_read_in_one_line(tmp_path, monkeypatch, capsys):
+    missing = str(tmp_path / "missing.g6")
+    for argv in (["scan", missing], ["verify", "lemma1", "--input", missing], ["scan", "--cache", str(tmp_path)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["construct", "hr33", "--r", "3"]) == 0  # a closed pipe is no error
 
 
 def test_cli_verify_small_order():

@@ -2,17 +2,20 @@ import pytest
 
 from ddcrit.graphs import Graph
 from ddcrit.matching import (
-    EnumerationBoundError,
     ParityError,
     has_perfect_matching,
     is_k_factor_critical_direct,
-    is_k_factor_critical_favaron,
     is_matching,
     matching_number,
     maximum_matching,
 )
 from ddcrit.constructions import clique_chain, h_6t, h_r33, h_r33_triple
-from oracles import brute_max_matching_size, exists_augmenting_path
+from oracles import (
+    EnumerationBoundError,
+    brute_max_matching_size,
+    exists_augmenting_path,
+    is_k_factor_critical_favaron,
+)
 
 
 def petersen() -> Graph:
