@@ -9,8 +9,9 @@ a file cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .constructions import clique_chain, h_6t, h_r33
 from .criticality import FAIL
@@ -33,9 +34,19 @@ from .matching import is_k_factor_critical_direct
 OK, ANY_FAIL, USAGE = 0, 1, 2
 
 
+def _stdin_lines() -> Iterator[str]:
+    """Stdin decoded from its bytes as input files are, whatever encoding the
+    locale or PYTHONIOENCODING gives ``sys.stdin``."""
+    text = io.TextIOWrapper(sys.stdin.buffer, encoding="ascii", errors="surrogateescape")
+    try:
+        yield from text
+    finally:
+        text.detach()  # leaves sys.stdin open
+
+
 def _input_lines(source: Optional[str]) -> Iterable[str]:
     if source is None or source == "-":
-        yield from sys.stdin
+        yield from _stdin_lines()
     else:
         # a non-ASCII byte is read as a lone surrogate, so its line fails to
         # decode as graph6 (with the byte's offset) instead of the whole file
@@ -46,7 +57,7 @@ def _input_lines(source: Optional[str]) -> Iterable[str]:
 def _graph_arg_lines(arg: str) -> Iterable[str]:
     # positional argument is either a literal graph6 line or '-' for stdin
     if arg == "-":
-        yield from sys.stdin
+        yield from _stdin_lines()
     else:
         yield arg
 

@@ -5,6 +5,22 @@ A connected graph is edge critical when adding any missing edge strictly
 lowers the double domination number. Complete graphs have no missing edge and
 are classified critical vacuously, with an explicit flag so reports stay
 honest.
+
+Every augmentation is decided from one walk over the subsets of G, with no
+solver run on G+uv. Call a vertex deficient under a set S when its closed
+neighborhood meets S fewer than two times. Adding uv changes only the closed
+neighborhoods of u and v, each by one vertex, so S double dominates G+uv iff
+every deficient vertex lies in {u, v}, each deficient endpoint meets S exactly
+once, and the new edge repairs it: u deficient needs v in S, v deficient
+needs u in S. A deficient endpoint also forces uv to be a non-edge (an edge
+would already count the other endpoint). The double domination number drops
+by at most two under one added edge (put u and v, or a neighbor of each, into
+a minimum set of G+uv), so walking the (gamma-2)-subsets and then the
+(gamma-1)-subsets of G finds gamma(G+uv) for every non-edge at once; a
+non-edge repaired by neither pass keeps gamma. The subsets are walked in
+``itertools.combinations`` order, so the sets found for uv at its own size
+are exactly the minimum double dominating sets of G+uv, in lexicographic
+order, whenever the edge lowers the number.
 """
 
 from __future__ import annotations
@@ -12,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .graphs import Graph, add_edge, components, is_connected, min_degree
-from .domination import all_minimum_dds, gamma_xk
+from .graphs import Graph, _bits, components, is_connected, min_degree
+from .domination import gamma_xk
 
 PASS = "pass"
 FAIL = "fail"
@@ -35,8 +51,61 @@ class CriticalityReport:
     vacuous: bool
 
 
+def _lowered(g: Graph, gamma2: int) -> dict[tuple[int, int], tuple[int, list[int]]]:
+    """Every non-edge uv with gamma(G+uv) < gamma2, mapped to gamma(G+uv) and
+    the minimum double dominating sets of G+uv, as masks in lexicographic
+    order.
+
+    Walks the subsets of sizes gamma2-2 and gamma2-1 depth first in
+    lexicographic order. A branch is cut when some vertex can no longer be
+    covered, or more than two can no longer be covered twice, by the vertices
+    still to be chosen: such a set leaves a vertex no single edge repairs.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    closed = [row | (1 << v) for v, row in enumerate(g.rows)]
+    # vertices covered at least once / at least twice by the vertices i..n-1
+    once = [0] * (n + 1)
+    twice = [0] * (n + 1)
+    for x in range(n - 1, -1, -1):
+        twice[x] = twice[x + 1] | (once[x + 1] & closed[x])
+        once[x] = once[x + 1] | closed[x]
+    lowered: dict[tuple[int, int], tuple[int, list[int]]] = {}
+
+    def repaired(chosen: int, u: int, v: int) -> None:
+        size, sets = lowered.setdefault((u, v) if u < v else (v, u), (chosen.bit_count(), []))
+        if size == chosen.bit_count():  # a pair lowered by two keeps only its smaller sets
+            sets.append(chosen)
+
+    def walk(start: int, left: int, chosen: int, ge1: int, ge2: int) -> None:
+        if left == 0:
+            if ge1 != full:  # a vertex the set misses is short by two
+                return
+            short = full & ~ge2
+            if short and short & (short - 1) == 0:
+                u = short.bit_length() - 1
+                for v in _bits(chosen & ~closed[u]):
+                    repaired(chosen, u, v)
+            elif short.bit_count() == 2 and short & chosen == short:
+                repaired(chosen, (short & -short).bit_length() - 1, short.bit_length() - 1)
+            return
+        if ge1 | once[start] != full:
+            return
+        reach2 = ge2 | (ge1 & once[start]) | (twice[start] if left > 1 else 0)
+        if (full & ~reach2).bit_count() > 2:
+            return
+        for x in range(start, n - left + 1):
+            row = closed[x]
+            walk(x + 1, left - 1, chosen | 1 << x, ge1 | row, ge2 | (ge1 & row))
+
+    for size in (gamma2 - 2, gamma2 - 1):
+        if size >= 0:
+            walk(0, size, 0, 0, 0)
+    return lowered
+
+
 def criticality_report(g: Graph, gamma2: Optional[int] = None) -> CriticalityReport:
-    """Classify edge criticality by solving every single-edge augmentation.
+    """Classify edge criticality from one walk over the subsets of g.
 
     ``gamma2``, when the caller already knows it, is taken as the double
     domination number of ``g`` instead of being solved again.
@@ -47,13 +116,21 @@ def criticality_report(g: Graph, gamma2: Optional[int] = None) -> CriticalityRep
         raise ValueError("criticality is defined for connected graphs only")
     if gamma2 is None:
         gamma2 = gamma_xk(g, 2).size
+    lowered = _lowered(g, gamma2)
     entries = []
     for u, v in g.non_edges():
-        after = gamma_xk(add_edge(g, u, v), 2).size
+        after = lowered.get((u, v), (gamma2,))[0]
         entries.append(NonEdgeDrop(u, v, after, gamma2 - after))
     vacuous = not entries
     critical = vacuous or all(e.drop >= 1 for e in entries)
     return CriticalityReport(gamma2, critical, tuple(entries), vacuous)
+
+
+def _minimum_sets(g: Graph, report: CriticalityReport) -> dict[tuple[int, int], list[frozenset]]:
+    """The minimum double dominating sets of every augmentation of a critical
+    graph, in lexicographic order, keyed by the added non-edge."""
+    lowered = _lowered(g, report.gamma2)
+    return {pair: [frozenset(_bits(mask)) for mask in masks] for pair, (_, masks) in lowered.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,8 +150,9 @@ def check_observation1(g: Graph, report: Optional[CriticalityReport] = None) -> 
         report = criticality_report(g)
     if not report.is_critical:
         raise ValueError("observation check needs an edge-critical graph")
+    minimum = _minimum_sets(g, report)
     for u, v, after, drop in report.per_nonedge:
-        for dds in all_minimum_dds(add_edge(g, u, v)):
+        for dds in minimum[u, v]:
             hit = len(dds & {u, v})
             if hit == 0 or (drop == 2 and hit != 2):
                 return Obs1Result(False, (u, v, dds))
@@ -122,8 +200,7 @@ def check_lemma45_profile(
         mode = "two-large-components"
     else:
         return ProfileCheckResult(NOT_APPLICABLE, None, "a component of the cut graph is a singleton")
-    augmented = add_edge(g, x, y)
-    for dds in all_minimum_dds(augmented):
+    for dds in _minimum_sets(g, report)[min(x, y), max(x, y)]:
         if len(dds) != 3:
             return ProfileCheckResult(FAIL, mode, "minimum set size differs from 3", dds)
         if mode == "many-components" and len(dds & {x, y}) != 1:

@@ -68,41 +68,47 @@ def gamma_xk(g: Graph, k: int) -> GammaResult:
     closed = _closed_rows(g)
     max_closed = max(r.bit_count() for r in closed)
 
-    # greedy upper bound, also the initial incumbent witness
+    # greedy upper bound, also the initial incumbent witness; a candidate's
+    # gain is the number of still-deficient vertices its closed row hits
     cov = [0] * n
+    short = (1 << n) - 1  # the vertices covered fewer than k times
     greedy_mask = 0
-    while any(c < k for c in cov):
+    while short:
         best_v, best_gain = -1, -1
         for v in range(n):
             if greedy_mask >> v & 1:
                 continue
-            gain = sum(1 for w in _bits(closed[v]) if cov[w] < k)
+            gain = (closed[v] & short).bit_count()
             if gain > best_gain:
                 best_v, best_gain = v, gain
         greedy_mask |= 1 << best_v
         for w in _bits(closed[best_v]):
             cov[w] += 1
+            if cov[w] == k:
+                short ^= 1 << w
     best_mask = greedy_mask
     best_size = greedy_mask.bit_count()
 
     def dfs(cov: tuple[int, ...], chosen: int, excluded: int, size: int):
         nonlocal best_mask, best_size
-        deficiency = sum(k - c for c in cov if c < k)
+        deficiency = 0
+        short = 0
+        for u, c in enumerate(cov):
+            if c < k:
+                deficiency += k - c
+                short |= 1 << u
         if deficiency == 0:
             if size < best_size:
                 best_size, best_mask = size, chosen
             return
         if size + (deficiency + max_closed - 1) // max_closed >= best_size:
             return
-        v = min((u for u in range(n) if cov[u] < k), key=lambda u: (cov[u], u))
+        v = min(_bits(short), key=lambda u: (cov[u], u))
         need = k - cov[v]
         avail = closed[v] & ~chosen & ~excluded
         if avail.bit_count() < need:
             return
-        cands = sorted(
-            _bits(avail),
-            key=lambda u: (-sum(1 for w in _bits(closed[u]) if cov[w] < k), u),
-        )
+        cands = sorted(_bits(avail), key=lambda u: (-(closed[u] & short).bit_count(), u))
         ex = excluded
         for u in cands:
             new_cov = list(cov)

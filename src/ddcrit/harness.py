@@ -42,8 +42,8 @@ from .graphs import (
 )
 from .matching import FactorCriticalityVerdict, is_k_factor_critical_direct
 
-# The per-non-edge solver runs are the expensive part of a corpus sweep and
-# several checks need the same report, so memoize on the immutable graph.
+# Several checks and campaigns read the report of the same graph, so memoize
+# on the immutable graph.
 _criticality_report = lru_cache(maxsize=1 << 18)(crit.criticality_report)
 
 
@@ -378,14 +378,12 @@ def replay_verdict(g: Graph, name: str, verdict: dict) -> bool:
         u, v, dds = witness.get("u"), witness.get("v"), witness.get("dds")
         if u is None or v is None or dds is None or g.adjacent(u, v):
             return False
-        aug = add_edge(g, u, v)
         report = crit.criticality_report(g)
-        after = gamma_xk(aug, 2)
-        if len(dds) != after.size or not is_k_tuple_dominating(aug, dds, 2):
+        entry = next((e for e in report.per_nonedge if {e.u, e.v} == {u, v}), None)
+        if entry is None or len(dds) != entry.gamma2_after or not is_k_tuple_dominating(add_edge(g, u, v), dds, 2):
             return False
         hit = len(set(dds) & {u, v})
-        drop = report.gamma2 - after.size
-        return hit == 0 or (drop == 2 and hit != 2)
+        return hit == 0 or (entry.drop == 2 and hit != 2)
     if name == "theorem1":
         from .matching import _has_pm_minus
 
@@ -595,12 +593,21 @@ def run_campaign(name: str, graphs: Iterable[Graph], cache: Optional["ReportCach
 class ReportCache:
     """Append-only JSONL cache of full property reports keyed by canonical id.
 
-    Corrupt lines are skipped with a warning; stores are idempotent per key.
+    Each line carries the ``version`` of the code that wrote it. Lines of
+    another version (or of none) are not served: they are counted in one
+    warning per file, and their reports are recomputed and stored again.
+    Corrupt lines are skipped with a warning each; stores are idempotent per
+    key.
     """
+
+    # Raise this whenever a stored report could differ from what the current
+    # code computes: a new field, a changed meaning, a solver fix.
+    VERSION = 1
 
     def __init__(self, path):
         self.path = path
         self._entries: dict[str, PropertyReport] = {}
+        stale = 0
         try:
             # a non-ASCII byte is read as a lone surrogate, which fails the
             # encode below, so it spoils its own line only
@@ -611,15 +618,22 @@ class ReportCache:
                         continue
                     try:
                         data = json.loads(line.encode("ascii"))
-                        report = PropertyReport.from_json_dict(data["report"])
-                        self._entries[data["key"]] = report
-                    except (ValueError, KeyError, TypeError):
+                        if data.get("version") != self.VERSION:  # its report may have another schema
+                            stale += 1
+                            continue
+                        self._entries[data["key"]] = PropertyReport.from_json_dict(data["report"])
+                    except (ValueError, KeyError, TypeError, AttributeError):
                         print(
                             f"warning: skipping corrupt cache line {lineno} in {path}",
                             file=sys.stderr,
                         )
         except FileNotFoundError:
             pass
+        if stale:
+            print(
+                f"warning: skipping {stale} cache lines in {path} not written by version {self.VERSION}",
+                file=sys.stderr,
+            )
 
     def lookup(self, key: str) -> Optional[PropertyReport]:
         return self._entries.get(key)
@@ -629,7 +643,9 @@ class ReportCache:
             return
         self._entries[key] = report
         line = json.dumps(
-            {"key": key, "report": report.to_json_dict()}, sort_keys=True, separators=(",", ":")
+            {"key": key, "report": report.to_json_dict(), "version": self.VERSION},
+            sort_keys=True,
+            separators=(",", ":"),
         )
         with open(self.path, "a", encoding="ascii") as fh:
             fh.write(line + "\n")

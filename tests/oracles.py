@@ -8,8 +8,28 @@ tiny graphs.
 import itertools
 from functools import lru_cache
 
+from ddcrit.criticality import (
+    FAIL,
+    NOT_APPLICABLE,
+    PASS,
+    CriticalityReport,
+    NonEdgeDrop,
+    Obs1Result,
+    ProfileCheckResult,
+)
+from ddcrit.domination import all_minimum_dds, gamma_xk
 from ddcrit.enumeration import _claw_touching
-from ddcrit.graphs import Graph, _bits, _canonical, _component_masks, canonical_key
+from ddcrit.graphs import (
+    Graph,
+    _bits,
+    _canonical,
+    _component_masks,
+    add_edge,
+    canonical_key,
+    components,
+    is_connected,
+    min_degree,
+)
 from ddcrit.matching import FactorCriticalityVerdict, ParityError
 
 
@@ -225,15 +245,88 @@ def all_extensions(parent: Graph, claw_free: bool, degree_floor: int):
         yield tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def per_edge_criticality_report(g: Graph, gamma2=None):
+    """Classify edge criticality by solving every single-edge augmentation.
+
+    The library's criticality report before it decided every non-edge from
+    one subset walk: one branch-and-bound solve per non-edge. Memoized on
+    the graph, so the suite solves each graph's augmentations once.
+    """
+    if min_degree(g) < 1:
+        raise ValueError("criticality needs minimum degree at least 1")
+    if not is_connected(g):
+        raise ValueError("criticality is defined for connected graphs only")
+    if gamma2 is None:
+        gamma2 = gamma_xk(g, 2).size
+    entries = []
+    for u, v in g.non_edges():
+        after = gamma_xk(add_edge(g, u, v), 2).size
+        entries.append(NonEdgeDrop(u, v, after, gamma2 - after))
+    vacuous = not entries
+    critical = vacuous or all(e.drop >= 1 for e in entries)
+    return CriticalityReport(gamma2, critical, tuple(entries), vacuous)
+
+
+@lru_cache(maxsize=None)
+def per_augmentation_minimum_sets(g: Graph) -> dict:
+    """``all_minimum_dds`` of G+uv for every non-edge uv, memoized on the graph."""
+    return {(u, v): all_minimum_dds(add_edge(g, u, v)) for u, v in g.non_edges()}
+
+
+def per_augmentation_observation1(g: Graph, report=None):
+    """Observation 1 checked over ``all_minimum_dds`` of every augmentation."""
+    if report is None:
+        report = per_edge_criticality_report(g)
+    if not report.is_critical:
+        raise ValueError("observation check needs an edge-critical graph")
+    for u, v, after, drop in report.per_nonedge:
+        for dds in per_augmentation_minimum_sets(g)[u, v]:
+            hit = len(dds & {u, v})
+            if hit == 0 or (drop == 2 and hit != 2):
+                return Obs1Result(False, (u, v, dds))
+    return Obs1Result(True)
+
+
+def per_augmentation_lemma45_profile(g: Graph, cut, x: int, y: int, report=None):
+    """The Lemma 4/5 profile checked over ``all_minimum_dds`` of G+xy."""
+    cut = frozenset(cut)
+    if report is None:
+        report = per_edge_criticality_report(g)
+    if not (report.is_critical and report.gamma2 == 4):
+        raise ValueError("profile check needs an edge-critical graph with double domination number 4")
+    comps = components(g, cut)
+    if len(comps) < 2:
+        raise ValueError("the supplied set is not a cutset")
+    loc_x = next((i for i, c in enumerate(comps) if x in c), None)
+    loc_y = next((i for i, c in enumerate(comps) if y in c), None)
+    if loc_x is None or loc_y is None or loc_x == loc_y:
+        raise ValueError("x and y must lie in different components of the cut graph")
+    if len(comps) >= 3:
+        mode = "many-components"
+    elif all(len(c) >= 2 for c in comps):
+        mode = "two-large-components"
+    else:
+        return ProfileCheckResult(NOT_APPLICABLE, None, "a component of the cut graph is a singleton")
+    for dds in per_augmentation_minimum_sets(g)[min(x, y), max(x, y)]:
+        if len(dds) != 3:
+            return ProfileCheckResult(FAIL, mode, "minimum set size differs from 3", dds)
+        if mode == "many-components" and len(dds & {x, y}) != 1:
+            return ProfileCheckResult(FAIL, mode, "minimum set does not meet {x,y} exactly once", dds)
+        if mode == "two-large-components" and not dds & cut:
+            return ProfileCheckResult(FAIL, mode, "minimum set misses the cutset", dds)
+    return ProfileCheckResult(PASS, mode)
+
+
 def eager_verdicts(g: Graph, report) -> dict:
     """The five named checks read from a full report, every hypothesis tested.
 
     This is how verdicts were computed before the checks became demand
     driven: no short-circuit order, and the theorem's witness is recomputed.
+    Observation 1 is read from the per-edge oracles above.
     """
-    from ddcrit.criticality import FAIL, NOT_APPLICABLE, PASS, check_observation1
     from ddcrit.graphs import independence_number
-    from ddcrit.harness import _criticality_report, matching_clique_chain
+    from ddcrit.harness import matching_clique_chain
     from ddcrit.matching import is_k_factor_critical_direct
 
     def verdict(status, witness=None):
@@ -264,7 +357,7 @@ def eager_verdicts(g: Graph, report) -> dict:
     else:
         out["lemma3"] = verdict(NOT_APPLICABLE)
     if connected and bool(report.critical):
-        obs = check_observation1(g, _criticality_report(g))
+        obs = per_augmentation_observation1(g, per_edge_criticality_report(g))
         if obs.ok:
             out["obs1"] = verdict(PASS)
         else:

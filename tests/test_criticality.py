@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -6,12 +7,20 @@ from ddcrit.criticality import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
+    _minimum_sets,
     check_lemma45_profile,
     check_observation1,
     criticality_report,
 )
 from ddcrit.constructions import h_6t, h_r33, h_r33_triple
-from ddcrit.graphs import Graph, components, is_connected, min_degree
+from ddcrit.domination import all_minimum_dds
+from ddcrit.graphs import Graph, add_edge, components, is_connected, min_degree, to_graph6
+from oracles import (
+    per_augmentation_lemma45_profile,
+    per_augmentation_minimum_sets,
+    per_augmentation_observation1,
+    per_edge_criticality_report,
+)
 
 
 def test_p4_is_critical_with_value_4():
@@ -62,8 +71,7 @@ def test_observation1_on_small_critical_graphs():
 def test_observation1_drop2_clause_binds():
     # 6-vertex corpus graph whose augmentations can lower the number by two;
     # every minimum set of such an augmentation must contain both endpoints
-    from ddcrit.domination import all_minimum_dds
-    from ddcrit.graphs import add_edge, from_graph6
+    from ddcrit.graphs import from_graph6
 
     g = from_graph6("E@UW")
     report = criticality_report(g)
@@ -118,8 +126,9 @@ def test_lemma45_profile_errors():
         check_lemma45_profile(Graph.cycle(6), {0, 3}, 1, 4)  # not 4-critical
 
 
-def test_lemma45_profile_universal_small(connected_small):
-    # every cutset of a 4-critical graph fits one of the two profiles
+def _lemma45_cases(connected_small):
+    """(graph, cut, x, y, report) for every cutset of every 4-critical graph
+    on at most 7 vertices, x and y the least vertices of two components."""
     for g in connected_small:
         if g.n > 7 or min_degree(g) < 1:
             continue
@@ -133,6 +142,52 @@ def test_lemma45_profile_universal_small(connected_small):
                     continue
                 x = min(comps[0])
                 for other in comps[1:]:
-                    y = min(other)
-                    result = check_lemma45_profile(g, frozenset(cut), x, y, report)
-                    assert result.status in (PASS, NOT_APPLICABLE)
+                    yield g, frozenset(cut), x, min(other), report
+
+
+def test_lemma45_profile_universal_small(connected_small):
+    # every cutset of a 4-critical graph fits one of the two profiles
+    for g, cut, x, y, report in _lemma45_cases(connected_small):
+        result = check_lemma45_profile(g, cut, x, y, report)
+        assert result.status in (PASS, NOT_APPLICABLE)
+
+
+def test_lemma45_profile_matches_per_augmentation_oracle(connected_small):
+    cases = 0
+    for g, cut, x, y, report in _lemma45_cases(connected_small):
+        assert check_lemma45_profile(g, cut, x, y, report) == per_augmentation_lemma45_profile(g, cut, x, y, report)
+        cases += 1
+    assert cases > 0
+
+
+# -- the one-pass walk against the per-edge solver ------------------------------
+
+
+@pytest.fixture(scope="module")
+def reports_upto_8(connected_upto_8):
+    """(graph, report) for every connected graph on 2..8 vertices."""
+    return [(g, criticality_report(g)) for g in connected_upto_8 if g.n > 1]
+
+
+def test_per_nonedge_matches_per_edge_oracle(reports_upto_8):
+    assert len(reports_upto_8) == 12112
+    mismatches = [to_graph6(g) for g, report in reports_upto_8 if report != per_edge_criticality_report(g)]
+    assert not mismatches
+
+
+def test_walk_finds_every_minimum_set_of_each_augmentation(reports_upto_8):
+    critical = [(g, report) for g, report in reports_upto_8 if report.is_critical]
+    assert len(critical) == 224
+    for g, report in critical:
+        assert _minimum_sets(g, report) == per_augmentation_minimum_sets(g)
+
+
+def test_observation1_matches_per_augmentation_oracle(reports_upto_8):
+    for g, report in reports_upto_8:
+        if not report.is_critical:
+            continue
+        assert check_observation1(g, report) == per_augmentation_observation1(g, report)
+        # a report that claims every drop is two makes the drop-2 clause fail
+        # on the first set missing an endpoint, so both must name the same one
+        claimed = replace(report, per_nonedge=tuple(e._replace(drop=2) for e in report.per_nonedge))
+        assert check_observation1(g, claimed) == per_augmentation_observation1(g, claimed)

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -288,6 +289,28 @@ def test_cache_skips_a_line_with_a_non_ascii_byte(tmp_path, capsys):
     assert "skipping corrupt cache line 1 " in capsys.readouterr().err
 
 
+def test_cache_recomputes_lines_of_another_version(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    g = h_6t(3)
+    report = analyze(g, "full", cache=ReportCache(path))
+    (entry,) = [json.loads(line) for line in path.read_text().splitlines()]
+    assert entry["version"] == ReportCache.VERSION
+    # an unversioned line and a line of a later version, both holding a report
+    # the current code would not compute
+    wrong = dict(entry["report"], critical=not report.critical)
+    unversioned = {"key": entry["key"], "report": wrong}
+    later = dict(unversioned, version=ReportCache.VERSION + 1)
+    path.write_text("".join(json.dumps(e) + "\n" for e in (unversioned, later)))
+    cache = ReportCache(path)
+    assert cache.lookup(entry["key"]) is None
+    err = capsys.readouterr().err
+    assert err.count("warning") == 1 and "skipping 2 cache lines" in err
+    assert analyze(g, "full", cache=cache) == report
+    stored = [json.loads(line) for line in path.read_text().splitlines()]
+    assert stored[2:] == [entry]  # recomputed and stored again, versioned
+    assert ReportCache(path).lookup(entry["key"]) == report
+
+
 def test_cached_analyze_returns_identical_report(tmp_path):
     cache = ReportCache(tmp_path / "c.jsonl")
     g = h_6t(3)
@@ -306,6 +329,11 @@ def run_cli(args, stdin=""):
         capture_output=True,
         text=True,
     )
+
+
+def _feed_stdin(monkeypatch, text: str):
+    # the CLI reads the bytes under sys.stdin, as it does from a terminal or pipe
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode("ascii"))))
 
 
 def test_cli_construct_and_analyze_pipeline():
@@ -362,7 +390,7 @@ def test_cli_critical_subcommand():
 def test_cli_critical_reports_graphs_outside_its_domain_as_analyze_does(monkeypatch, capsys):
     isolated = "B?"  # two vertices, no edge
     disconnected = to_graph6(Graph.from_edges(4, [(0, 1), (2, 3)]))
-    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{isolated}\n{disconnected}\n"))
+    _feed_stdin(monkeypatch, f"{isolated}\n{disconnected}\n")
     assert main(["critical"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     outside = {"critical": None, "vacuous": None, "per_nonedge": []}
@@ -391,7 +419,7 @@ def test_cli_scan_stdin_exit_codes(tmp_path):
     ids=lambda argv: argv[0],
 )
 def test_cli_line_commands_report_a_bad_line_and_go_on(argv, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\n\n!!!\nB?\n"))
+    _feed_stdin(monkeypatch, "Bw\n\n!!!\nB?\n")
     assert main(argv) == 2
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     # the blank line 1 gets no record but keeps its index
@@ -408,6 +436,22 @@ def test_cli_scan_reports_a_non_ascii_byte_in_a_file_and_goes_on(tmp_path, capsy
     corpus.write_bytes(NON_ASCII_CORPUS)
     assert main(["scan", str(corpus), "--depth", "fast"]) == 2
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["input_index"] for r in records] == [0, 1, 2]
+    assert records[1]["error"] == "non-ASCII byte at byte 1"
+    assert "error" not in records[0] and "error" not in records[2]
+
+
+@pytest.mark.parametrize("argv", [["scan", "--depth", "fast"], ["analyze", "-", "--depth", "fast"]], ids=lambda a: a[0])
+def test_cli_reports_a_non_ascii_byte_on_strict_utf8_stdin(argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "ddcrit", *argv],
+        input=b"Bw\nB\xff\nBw\n",
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+    )
+    assert result.returncode == 2, result.stderr
+    assert b"Traceback" not in result.stderr
+    records = [json.loads(line) for line in result.stdout.splitlines()]
     assert [r["input_index"] for r in records] == [0, 1, 2]
     assert records[1]["error"] == "non-ASCII byte at byte 1"
     assert "error" not in records[0] and "error" not in records[2]
