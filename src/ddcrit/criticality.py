@@ -26,6 +26,7 @@ order, whenever the edge lowers the number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .graphs import Graph, _bits, components, is_connected, min_degree
@@ -51,10 +52,13 @@ class CriticalityReport:
     vacuous: bool
 
 
-def _lowered(g: Graph, gamma2: int) -> dict[tuple[int, int], tuple[int, list[int]]]:
+# The report and then the checks that read the minimum sets of the same
+# graph's augmentations (Observation 1, each Lemma 4/5 cutset) share one walk.
+@lru_cache(maxsize=16)
+def _lowered(g: Graph, gamma2: int) -> dict[tuple[int, int], tuple[int, tuple[int, ...]]]:
     """Every non-edge uv with gamma(G+uv) < gamma2, mapped to gamma(G+uv) and
     the minimum double dominating sets of G+uv, as masks in lexicographic
-    order.
+    order. Memoized: callers must not change the dict.
 
     Walks the subsets of sizes gamma2-2 and gamma2-1 depth first in
     lexicographic order. A branch is cut when some vertex can no longer be
@@ -101,7 +105,7 @@ def _lowered(g: Graph, gamma2: int) -> dict[tuple[int, int], tuple[int, list[int
     for size in (gamma2 - 2, gamma2 - 1):
         if size >= 0:
             walk(0, size, 0, 0, 0)
-    return lowered
+    return {pair: (size, tuple(sets)) for pair, (size, sets) in lowered.items()}
 
 
 def criticality_report(g: Graph, gamma2: Optional[int] = None) -> CriticalityReport:
@@ -200,7 +204,8 @@ def check_lemma45_profile(
         mode = "two-large-components"
     else:
         return ProfileCheckResult(NOT_APPLICABLE, None, "a component of the cut graph is a singleton")
-    for dds in _minimum_sets(g, report)[min(x, y), max(x, y)]:
+    for mask in _lowered(g, report.gamma2)[min(x, y), max(x, y)][1]:
+        dds = frozenset(_bits(mask))
         if len(dds) != 3:
             return ProfileCheckResult(FAIL, mode, "minimum set size differs from 3", dds)
         if mode == "many-components" and len(dds & {x, y}) != 1:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -591,13 +592,14 @@ def run_campaign(name: str, graphs: Iterable[Graph], cache: Optional["ReportCach
 
 
 class ReportCache:
-    """Append-only JSONL cache of full property reports keyed by canonical id.
+    """JSONL cache of full property reports keyed by canonical id.
 
-    Each line carries the ``version`` of the code that wrote it. Lines of
-    another version (or of none) are not served: they are counted in one
-    warning per file, and their reports are recomputed and stored again.
-    Corrupt lines are skipped with a warning each; stores are idempotent per
-    key.
+    Stores append a line and are idempotent per key. Each line carries the
+    ``version`` of the code that wrote it. Lines of another version (or of
+    none) are not served: a load that finds any warns once with their count
+    and rewrites the file with only the lines it serves, and their reports
+    are recomputed and stored again. Corrupt lines are skipped with a
+    warning each.
     """
 
     # Raise this whenever a stored report could differ from what the current
@@ -607,6 +609,7 @@ class ReportCache:
     def __init__(self, path):
         self.path = path
         self._entries: dict[str, PropertyReport] = {}
+        kept: list[str] = []  # the lines of this version, for a rewrite
         stale = 0
         try:
             # a non-ASCII byte is read as a lone surrogate, which fails the
@@ -622,6 +625,7 @@ class ReportCache:
                             stale += 1
                             continue
                         self._entries[data["key"]] = PropertyReport.from_json_dict(data["report"])
+                        kept.append(line + "\n")
                     except (ValueError, KeyError, TypeError, AttributeError):
                         print(
                             f"warning: skipping corrupt cache line {lineno} in {path}",
@@ -631,9 +635,13 @@ class ReportCache:
             pass
         if stale:
             print(
-                f"warning: skipping {stale} cache lines in {path} not written by version {self.VERSION}",
+                f"warning: dropping {stale} cache lines from {path} not written by version {self.VERSION}",
                 file=sys.stderr,
             )
+            partial = f"{path}.partial"
+            with open(partial, "w", encoding="ascii") as fh:
+                fh.writelines(kept)
+            os.replace(partial, path)
 
     def lookup(self, key: str) -> Optional[PropertyReport]:
         return self._entries.get(key)

@@ -7,6 +7,7 @@ from ddcrit.criticality import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
+    _lowered,
     _minimum_sets,
     check_lemma45_profile,
     check_observation1,
@@ -108,6 +109,17 @@ def test_lemma45_profile_many_components_mode():
     assert report.is_critical and report.gamma2 == 4
     result = check_lemma45_profile(star, {0}, 1, 2, report)
     assert result.status == PASS and result.mode == "many-components"
+
+
+def test_report_and_minimum_set_checks_share_one_walk():
+    star = Graph.star(3)
+    _lowered.cache_clear()
+    report = criticality_report(star)
+    assert check_observation1(star, report).ok
+    for x, y in ((1, 2), (1, 3), (2, 3)):
+        assert check_lemma45_profile(star, {0}, x, y, report).status == PASS
+    info = _lowered.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
 
 
 def test_lemma45_profile_guard_case():

@@ -296,19 +296,23 @@ def test_cache_recomputes_lines_of_another_version(tmp_path, capsys):
     (entry,) = [json.loads(line) for line in path.read_text().splitlines()]
     assert entry["version"] == ReportCache.VERSION
     # an unversioned line and a line of a later version, both holding a report
-    # the current code would not compute
+    # the current code would not compute, around a line this version serves
     wrong = dict(entry["report"], critical=not report.critical)
     unversioned = {"key": entry["key"], "report": wrong}
     later = dict(unversioned, version=ReportCache.VERSION + 1)
-    path.write_text("".join(json.dumps(e) + "\n" for e in (unversioned, later)))
+    other = analyze(h_r33(3), "full", cache=ReportCache(tmp_path / "other.jsonl"))
+    served = (tmp_path / "other.jsonl").read_text()
+    path.write_text(json.dumps(unversioned) + "\n" + served + json.dumps(later) + "\n")
     cache = ReportCache(path)
     assert cache.lookup(entry["key"]) is None
+    assert cache.lookup(other.canonical_id) == other
     err = capsys.readouterr().err
-    assert err.count("warning") == 1 and "skipping 2 cache lines" in err
+    assert err.count("warning") == 1 and "dropping 2 cache lines" in err
+    assert path.read_text() == served  # the stale lines are gone from the file
     assert analyze(g, "full", cache=cache) == report
-    stored = [json.loads(line) for line in path.read_text().splitlines()]
-    assert stored[2:] == [entry]  # recomputed and stored again, versioned
+    assert path.read_text() == served + json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
     assert ReportCache(path).lookup(entry["key"]) == report
+    assert capsys.readouterr().err == ""  # a later load has nothing to warn about
 
 
 def test_cached_analyze_returns_identical_report(tmp_path):
