@@ -9,6 +9,7 @@ a file cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import sys
 from typing import Iterable, Iterator, Optional
@@ -139,16 +140,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    hypotheses = Hypotheses(
-        connected=args.connected,
-        odd_order=args.odd_order,
-        min_degree=args.min_degree,
-        min_connectivity=args.min_connectivity,
-        claw_free=args.claw_free,
-        k14_free=args.k14_free,
-        gamma2=args.gamma2,
-        critical=args.critical,
-    )
+    # each hypothesis field has the dest of its scan option
+    hypotheses = Hypotheses(**{f.name: getattr(args, f.name) for f in dataclasses.fields(Hypotheses)})
     saw_fail = False
     saw_error = False
     emitted = 0
@@ -180,19 +173,9 @@ def _cmd_verify(args) -> int:
                 return USAGE
             corpus.append(g)
     summary = run_campaign(args.check, corpus, cache=args.cache)
-    print(
-        record_to_json(
-            {
-                "check": summary.name,
-                "examined": summary.examined,
-                "passed": summary.passed,
-                "failed": summary.failed,
-                "not_applicable": summary.not_applicable,
-                "violations": summary.violations,
-                "extras": summary.extras,
-            }
-        )
-    )
+    record = dataclasses.asdict(summary)
+    record["check"] = record.pop("name")
+    print(record_to_json(record))
     print(summary.describe(), file=sys.stderr)
     return OK if summary.ok else ANY_FAIL
 

@@ -7,11 +7,11 @@ check tests its hypotheses cheapest first (degree, claws and diameter before
 the domination solver, connectivity before criticality, factor criticality
 and family membership last), so a campaign computes only what its own
 verdict reads and stops at the first hypothesis that fails. Full property
-reports are built from the same memo; with a report cache, campaigns and
-scans take the full report (computed once per class) and read their
-verdicts from it. Scan output is JSONL, one record per surviving input line,
-deterministic for a fixed input order and flag set. A scan streams: it reads
-one input line at a time and emits its record before reading the next.
+reports and verdicts are read from the same memo; with a report cache, the
+memo adopts the cached full report (computed once per class). Scan output
+is JSONL, one record per surviving input line, deterministic for a fixed
+input order and flag set. A scan streams: it reads one input line at a
+time and emits its record before reading the next.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import criticality as crit
 from .constructions import clique_chain, is_in_family_H
 from .criticality import FAIL, NOT_APPLICABLE, PASS
 from .domination import gamma_xk
-from .enumeration import connected_graphs
+from .enumeration import _levels, connected_graphs
 from .graphs import (
     Graph,
     Graph6Error,
@@ -66,40 +66,17 @@ class PropertyReport:
     in_family_H: Optional[bool] = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "canonical_id": self.canonical_id,
-            "order": self.order,
-            "min_degree": self.min_degree,
-            "connectivity": self.connectivity,
-            "diameter": self.diameter,
-            "claw_free": self.claw_free,
-            "k14_free": self.k14_free,
-            "depth": self.depth,
-        }
+        out = {name: getattr(self, name) for name in ("order", "depth", *_fields(self.depth))}
         if self.depth == "full":
-            out["gamma2"] = self.gamma2
-            out["critical"] = self.critical
             out["factor_critical"] = {str(k): v for k, v in (self.factor_critical or {}).items()}
-            out["in_family_H"] = self.in_family_H
         return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PropertyReport":
-        fc = data.get("factor_critical")
-        return cls(
-            canonical_id=data["canonical_id"],
-            order=data["order"],
-            min_degree=data["min_degree"],
-            connectivity=data["connectivity"],
-            diameter=data["diameter"],
-            claw_free=data["claw_free"],
-            k14_free=data["k14_free"],
-            depth=data["depth"],
-            gamma2=data.get("gamma2"),
-            critical=data.get("critical"),
-            factor_critical={int(k): v for k, v in fc.items()} if fc is not None else None,
-            in_family_H=data.get("in_family_H"),
-        )
+        out = cls(**{name: data[name] for name in ("order", "depth", *_fields(data["depth"]))})
+        if out.depth == "full":
+            out.factor_critical = {int(k): v for k, v in data["factor_critical"].items()}
+        return out
 
 
 _FAST_FIELDS = ("canonical_id", "min_degree", "connectivity", "diameter", "claw_free", "k14_free")
@@ -116,17 +93,15 @@ class GraphFacts:
 
     Attribute names match ``PropertyReport``. Factor criticality is read per
     deletion size through ``factor_verdict`` (witness included) or
-    ``factor_critical_at``. A memo built from a full report takes every field
-    the report holds instead of computing it.
+    ``factor_critical_at``. A cached full report is taken in through
+    ``adopt`` (see ``analyze``) instead of being computed.
     """
 
-    def __init__(self, g: Graph, report: Optional[PropertyReport] = None):
+    def __init__(self, g: Graph):
         self.g = g
         self.order = g.n
         self._factor: dict[int, Optional[FactorCriticalityVerdict]] = {}
         self._factor_holds: dict[int, Optional[bool]] = {}
-        if report is not None:
-            self.adopt(report)
 
     def adopt(self, report: PropertyReport) -> None:
         """Take the fields of a report of this graph (or of an isomorphic one)."""
@@ -340,12 +315,14 @@ CHECKS: dict[str, Callable[[GraphFacts], dict]] = {
 }
 
 
-def compute_verdicts(g: Graph, report: PropertyReport) -> dict[str, dict]:
-    """All five named checks, read from a full-depth report of g."""
-    if report.depth != "full":
-        raise ValueError("verdicts need a full-depth report")
-    facts = GraphFacts(g, report)
+def compute_verdicts(facts: GraphFacts) -> dict[str, dict]:
+    """All five named checks, read from the memo of one graph."""
     return {name: check(facts) for name, check in CHECKS.items()}
+
+
+def _are_vertices(g: Graph, items) -> bool:
+    """Is a witness field a list of vertices of g?"""
+    return isinstance(items, list) and all(isinstance(v, int) and 0 <= v < g.n for v in items)
 
 
 def replay_verdict(g: Graph, name: str, verdict: dict) -> bool:
@@ -361,14 +338,14 @@ def replay_verdict(g: Graph, name: str, verdict: dict) -> bool:
     if name == "lemma1":
         return diameter(g) == witness.get("diameter") and witness.get("diameter") not in (2, 3)
     if name == "lemma2":
-        chain = matching_clique_chain(g)
+        if diameter(g) != 3:  # a disconnected graph is outside criticality's domain
+            return False
         report = crit.criticality_report(g)
         four = report.is_critical and report.gamma2 == 4
-        return diameter(g) == 3 and four != (chain is not None)
+        return four != (matching_clique_chain(g) is not None)
     if name == "lemma3":
-        r = witness.get("r")
-        indep = witness.get("independent_set") or []
-        if len(indep) <= r:
+        r, indep = witness.get("r"), witness.get("independent_set")
+        if r not in (3, 4) or not _are_vertices(g, indep) or len(set(indep)) <= r:
             return False
         free, _ = is_k1r_free(g, r)
         return free and all(not g.adjacent(u, v) for i, u in enumerate(indep) for v in indep[i + 1:])
@@ -377,9 +354,12 @@ def replay_verdict(g: Graph, name: str, verdict: dict) -> bool:
         from .graphs import add_edge
 
         u, v, dds = witness.get("u"), witness.get("v"), witness.get("dds")
-        if u is None or v is None or dds is None or g.adjacent(u, v):
+        if not _are_vertices(g, [u, v]) or not _are_vertices(g, dds) or g.adjacent(u, v):
             return False
-        report = crit.criticality_report(g)
+        try:
+            report = crit.criticality_report(g)
+        except ValueError:  # an isolated vertex or a disconnected graph: no critical graph
+            return False
         entry = next((e for e in report.per_nonedge if {e.u, e.v} == {u, v}), None)
         if entry is None or len(dds) != entry.gamma2_after or not is_k_tuple_dominating(add_edge(g, u, v), dds, 2):
             return False
@@ -389,7 +369,8 @@ def replay_verdict(g: Graph, name: str, verdict: dict) -> bool:
         from .matching import _has_pm_minus
 
         failing = witness.get("failing_3_set")
-        if failing is None or len(failing) != 3 or is_in_family_H(g):
+        # three distinct vertices, or the mask below deletes fewer than three
+        if not _are_vertices(g, failing) or len(set(failing)) != 3 or is_in_family_H(g):
             return False
         mask = 0
         for v in failing:
@@ -417,26 +398,26 @@ class Hypotheses:
     def needs_full(self) -> bool:
         return self.gamma2 is not None or self.critical
 
-    def fast_pass(self, report: Union[PropertyReport, GraphFacts]) -> bool:
-        # cheapest first: on a memo, a failed test leaves the rest uncomputed
-        if self.odd_order and report.order % 2 == 0:
+    def fast_pass(self, facts: GraphFacts) -> bool:
+        # cheapest first: a failed test leaves the rest uncomputed
+        if self.odd_order and facts.order % 2 == 0:
             return False
-        if self.min_degree is not None and report.min_degree < self.min_degree:
+        if self.min_degree is not None and facts.min_degree < self.min_degree:
             return False
-        if self.connected and report.diameter is None:
+        if self.connected and facts.diameter is None:
             return False
-        if self.claw_free and not report.claw_free:
+        if self.claw_free and not facts.claw_free:
             return False
-        if self.k14_free and not report.k14_free:
+        if self.k14_free and not facts.k14_free:
             return False
-        if self.min_connectivity is not None and report.connectivity < self.min_connectivity:
+        if self.min_connectivity is not None and facts.connectivity < self.min_connectivity:
             return False
         return True
 
-    def full_pass(self, report: Union[PropertyReport, GraphFacts]) -> bool:
-        if self.gamma2 is not None and report.gamma2 != self.gamma2:
+    def full_pass(self, facts: GraphFacts) -> bool:
+        if self.gamma2 is not None and facts.gamma2 != self.gamma2:
             return False
-        if self.critical and not report.critical:
+        if self.critical and not facts.critical:
             return False
         return True
 
@@ -471,17 +452,13 @@ def _scan_one(
     if not hypotheses.fast_pass(facts):
         return None
     if depth == "full" or hypotheses.needs_full():
-        full_report = analyze(facts, "full", cache=cache)
-        if not hypotheses.full_pass(full_report):
+        # builds the full report, or adopts a cached one, into the memo
+        report = analyze(facts, "full", cache=cache)
+        if not hypotheses.full_pass(facts):
             return None
     if depth == "fast":
         return {"input_index": index, "graph6": text, "report": analyze(facts, "fast").to_json_dict(), "verdicts": {}}
-    return {
-        "input_index": index,
-        "graph6": text,
-        "report": full_report.to_json_dict(),
-        "verdicts": compute_verdicts(g, full_report),
-    }
+    return {"input_index": index, "graph6": text, "report": report.to_json_dict(), "verdicts": compute_verdicts(facts)}
 
 
 def scan(
@@ -551,8 +528,8 @@ _LEMMA2_CHAIN_MAX = 4
 def run_campaign(name: str, graphs: Iterable[Graph], cache: Optional["ReportCache"] = None) -> CampaignSummary:
     """Run one named check over a corpus.
 
-    Without a cache each graph gets a fresh memo and only the fields the
-    check reads are computed; with one, the full report is taken (from the
+    Each graph gets one memo. Without a cache it computes only the fields
+    the check reads; with one, it first takes the full report (from the
     cache, or computed and stored) so the cache keeps holding full reports.
     ``lemma1`` tallies the diameters of its passes; ``lemma2`` adds the
     forward direction of the classification, that every 1,s,t,1 clique chain
@@ -563,7 +540,9 @@ def run_campaign(name: str, graphs: Iterable[Graph], cache: Optional["ReportCach
     summary = CampaignSummary(name)
     family: dict[str, int] = {}
     for g in graphs:
-        facts = GraphFacts(g) if cache is None else GraphFacts(g, analyze(g, "full", cache=cache))
+        facts = GraphFacts(g)
+        if cache is not None:
+            analyze(facts, "full", cache=cache)
         verdict = check(facts)
         summary.count(g, verdict)
         if name == "lemma1" and verdict["status"] == PASS:
@@ -599,7 +578,8 @@ class ReportCache:
     none) are not served: a load that finds any warns once with their count
     and rewrites the file with only the lines it serves, and their reports
     are recomputed and stored again. Corrupt lines are skipped with a
-    warning each.
+    warning each; so is a line whose report is not of full depth, or is
+    filed under a key other than its own canonical id.
     """
 
     # Raise this whenever a stored report could differ from what the current
@@ -624,7 +604,10 @@ class ReportCache:
                         if data.get("version") != self.VERSION:  # its report may have another schema
                             stale += 1
                             continue
-                        self._entries[data["key"]] = PropertyReport.from_json_dict(data["report"])
+                        report = PropertyReport.from_json_dict(data["report"])
+                        if report.depth != "full" or report.canonical_id != data["key"]:
+                            raise ValueError("not the full report of its key")
+                        self._entries[data["key"]] = report
                         kept.append(line + "\n")
                     except (ValueError, KeyError, TypeError, AttributeError):
                         print(
@@ -675,5 +658,5 @@ def default_corpus(check: str, max_order: int) -> Iterator[Graph]:
             if n % 2 == 1:
                 yield from connected_graphs(n, claw_free=True, final_min_degree=4)
     else:
-        for n in range(1, max_order + 1):
-            yield from connected_graphs(n)
+        for level in _levels(max_order, False, None):
+            yield from filter(is_connected, level)

@@ -50,9 +50,9 @@ NOT_CRITICAL = "HKyujt|"  # gamma2 4, 3-connected, not critical
 def test_demand_driven_verdicts_match_eager_reference(connected_upto_8, theorem1_corpus):
     mismatches = []
     for g in list(connected_upto_8) + list(theorem1_corpus):
-        report = analyze(g, "full")
-        expected = eager_verdicts(g, report)
-        assert compute_verdicts(g, report) == expected
+        facts = GraphFacts(g)
+        expected = eager_verdicts(g, analyze(facts, "full"))
+        assert compute_verdicts(facts) == expected
         for name, check in CHECKS.items():
             if check(GraphFacts(g)) != expected[name]:
                 mismatches.append((to_graph6(g), name))
@@ -165,6 +165,42 @@ def test_scan_cache_hits_skip_structural_fields(tmp_path, monkeypatch):
     warm = [record_to_json(r) for r in scan(lines, cache=ReportCache(tmp_path / "c.jsonl"))]
     assert warm == cold
     assert connectivity == []
+
+
+def _count_memos(monkeypatch):
+    """Log the graph of each ``GraphFacts`` built and of each report adopted."""
+    built, adopted = [], []
+    init, adopt = GraphFacts.__init__, GraphFacts.adopt
+
+    def counted_init(self, g):
+        built.append(to_graph6(g))
+        init(self, g)
+
+    def counted_adopt(self, report):
+        adopted.append(to_graph6(self.g))
+        adopt(self, report)
+
+    monkeypatch.setattr(GraphFacts, "__init__", counted_init)
+    monkeypatch.setattr(GraphFacts, "adopt", counted_adopt)
+    return built, adopted
+
+
+def test_one_memo_per_graph_with_a_cache(tmp_path, monkeypatch):
+    g = h_r33(3)
+    perms = [list(range(9)), list(range(8, -1, -1)), [(v + 3) % 9 for v in range(9)]]
+    copies = [Graph.from_edges(9, [(p[u], p[v]) for u, v in g.edges()]) for p in perms]
+    names = [to_graph6(h) for h in copies]
+    assert len(set(names)) == 3
+    cache = ReportCache(tmp_path / "c.jsonl")
+    built, adopted = _count_memos(monkeypatch)
+    records = list(scan([name + "\n" for name in names], cache=cache))
+    assert [r["verdicts"]["theorem1"]["status"] for r in records] == [crit.PASS] * 3
+    assert built == names
+    assert adopted == names[1:]  # the first line computes the report the others hit
+    del built[:], adopted[:]
+    summary = run_campaign("theorem1", copies, cache=cache)
+    assert summary.passed == 3
+    assert built == names and adopted == names
 
 
 def test_verify_with_cache_matches_and_then_hits(tmp_path, monkeypatch, capsys):

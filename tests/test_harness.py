@@ -3,14 +3,17 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ddcrit
 from ddcrit.cli import main
 from ddcrit.constructions import clique_chain, h_6t, h_r33, h_r33_triple
 from ddcrit.criticality import FAIL, NOT_APPLICABLE, PASS
 from ddcrit.graphs import Graph, canonical_key, from_graph6, is_connected, to_graph6
 from ddcrit.harness import (
+    GraphFacts,
     Hypotheses,
     ReportCache,
     analyze,
@@ -67,7 +70,7 @@ def test_report_sharpness_example():
 
 def test_verdicts_on_family_member():
     g = h_r33(3)
-    verdicts = compute_verdicts(g, analyze(g, "full"))
+    verdicts = compute_verdicts(GraphFacts(g))
     assert verdicts["lemma1"]["status"] == PASS
     assert verdicts["lemma2"]["status"] == NOT_APPLICABLE  # diameter 2
     assert verdicts["lemma3"]["status"] == PASS
@@ -77,7 +80,7 @@ def test_verdicts_on_family_member():
 
 def test_verdicts_on_clique_chain():
     g = clique_chain(1, 2, 3, 1)
-    verdicts = compute_verdicts(g, analyze(g, "full"))
+    verdicts = compute_verdicts(GraphFacts(g))
     assert verdicts["lemma1"]["status"] == PASS
     assert verdicts["lemma2"]["status"] == PASS
     assert verdicts["theorem1"]["status"] == NOT_APPLICABLE  # even order, low degree
@@ -85,15 +88,9 @@ def test_verdicts_on_clique_chain():
 
 def test_verdicts_on_plain_graph():
     g = Graph.cycle(6)
-    verdicts = compute_verdicts(g, analyze(g, "full"))
+    verdicts = compute_verdicts(GraphFacts(g))
     assert all(v["status"] in (PASS, NOT_APPLICABLE) for v in verdicts.values())
     assert verdicts["lemma1"]["status"] == NOT_APPLICABLE
-
-
-def test_verdicts_need_full_depth():
-    g = Graph.cycle(5)
-    with pytest.raises(ValueError):
-        compute_verdicts(g, analyze(g, "fast"))
 
 
 # -- replay ---------------------------------------------------------------------
@@ -101,17 +98,24 @@ def test_verdicts_need_full_depth():
 
 def test_replay_accepts_pass_and_rejects_bogus_witnesses():
     g = h_r33(3)
-    report = analyze(g, "full")
-    for name, verdict in compute_verdicts(g, report).items():
+    for name, verdict in compute_verdicts(GraphFacts(g)).items():
         assert replay_verdict(g, name, verdict)
     # fabricated failures must not replay
     assert not replay_verdict(g, "lemma1", {"status": FAIL, "witness": {"diameter": 4}})
-    assert not replay_verdict(
-        g, "lemma3", {"status": FAIL, "witness": {"r": 3, "alpha": 4, "independent_set": [0, 1, 2, 3]}}
-    )
+    for r, independent in ((3, [0, 1, 2, 3]), (3, [0, 0, 0, 0]), (None, [0, 1, 2, 3]), (3, [0, 1, 2, 99])):
+        witness = {"r": r, "alpha": 4, "independent_set": independent}
+        assert not replay_verdict(g, "lemma3", {"status": FAIL, "witness": witness})
     assert not replay_verdict(
         g, "theorem1", {"status": FAIL, "witness": {"failing_3_set": sorted(h_r33_triple(3))}}
     )  # the graph is in the family, so this is not a theorem violation
+    sharp = h_6t(3)
+    for failing, replays in (([5, 6, 7], True), ([0, 1, 99], False), ([0, 0, 1], False), ([0, 1, "2"], False)):
+        assert replay_verdict(sharp, "theorem1", {"status": FAIL, "witness": {"failing_3_set": failing}}) is replays
+    # outside criticality's domain, and a vertex that is not one
+    split = Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert not replay_verdict(split, "obs1", {"status": FAIL, "witness": {"u": 0, "v": 2, "dds": [0, 1, 2, 3]}})
+    assert not replay_verdict(split, "lemma2", {"status": FAIL, "witness": {}})
+    assert not replay_verdict(g, "obs1", {"status": FAIL, "witness": {"u": 0, "v": 99, "dds": [0, 1, 2, 3]}})
     with pytest.raises(ValueError):
         replay_verdict(g, "lemma99", {"status": FAIL})
 
@@ -315,6 +319,29 @@ def test_cache_recomputes_lines_of_another_version(tmp_path, capsys):
     assert capsys.readouterr().err == ""  # a later load has nothing to warn about
 
 
+@pytest.mark.parametrize("wrong", ["fast_depth", "other_graph"])
+def test_cli_skips_a_cache_line_of_the_wrong_depth_or_graph(wrong, tmp_path, capsys):
+    g = h_r33(3)
+    key = canonical_key(g).decode("ascii")
+    report = analyze(g, "fast") if wrong == "fast_depth" else analyze(Graph.complete(4), "full")
+    line = json.dumps({"key": key, "report": report.to_json_dict(), "version": ReportCache.VERSION})
+    cache = tmp_path / "reports.jsonl"
+    corpus = tmp_path / "family.g6"
+    corpus.write_text(to_graph6(g) + "\n")
+    assert main(["scan", str(corpus)]) == 0
+    uncached = capsys.readouterr().out
+    for argv in (["scan", str(corpus)], ["verify", "theorem1", "--input", str(corpus)]):
+        cache.write_text(line + "\n")
+        assert main([*argv, "--cache", str(cache)]) == 0
+        out, err = capsys.readouterr()
+        assert "skipping corrupt cache line 1 " in err
+        if argv[0] == "scan":
+            assert out == uncached
+        else:
+            summary = json.loads(out)
+            assert summary["passed"] == 1 and summary["extras"]["family_classes"] == [key]
+
+
 def test_cached_analyze_returns_identical_report(tmp_path):
     cache = ReportCache(tmp_path / "c.jsonl")
     g = h_6t(3)
@@ -326,12 +353,20 @@ def test_cached_analyze_returns_identical_report(tmp_path):
 # -- CLI ----------------------------------------------------------------------------
 
 
+# a child process imports the ddcrit under test, installed or not
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(ddcrit.__file__).parents[1]), os.environ.get("PYTHONPATH")])),
+}
+
+
 def run_cli(args, stdin=""):
     return subprocess.run(
         [sys.executable, "-m", "ddcrit", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
 
 
@@ -451,7 +486,7 @@ def test_cli_reports_a_non_ascii_byte_on_strict_utf8_stdin(argv):
         [sys.executable, "-m", "ddcrit", *argv],
         input=b"Bw\nB\xff\nBw\n",
         capture_output=True,
-        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+        env={**CHILD_ENV, "PYTHONIOENCODING": "utf-8:strict"},
     )
     assert result.returncode == 2, result.stderr
     assert b"Traceback" not in result.stderr
