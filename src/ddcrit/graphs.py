@@ -184,18 +184,16 @@ def from_graph6(text: str) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def to_graph6(g: Graph) -> str:
-    """Encode a graph as one header-less graph6 line (without the newline)."""
-    n = g.n
+def _graph6(n: int, rows) -> bytes:
+    """The graph6 bytes of adjacency rows on n vertices."""
     if n <= 62:
-        head = [n + 63]
+        out = [n + 63]
     else:
-        head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    out = list(head)
+        out = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
     acc = 0
     nb = 0
     for j in range(1, n):
-        row = g.rows[j]
+        row = rows[j]
         for i in range(j):
             acc = (acc << 1) | ((row >> i) & 1)
             nb += 1
@@ -205,7 +203,12 @@ def to_graph6(g: Graph) -> str:
                 nb = 0
     if nb:
         out.append((acc << (6 - nb)) + 63)
-    return bytes(out).decode("ascii")
+    return bytes(out)
+
+
+def to_graph6(g: Graph) -> str:
+    """Encode a graph as one header-less graph6 line (without the newline)."""
+    return _graph6(g.n, g.rows).decode("ascii")
 
 
 # -- elementary operations ---------------------------------------------------
@@ -450,6 +453,59 @@ def independence_number(g: Graph) -> tuple[int, frozenset]:
 # -- canonical labeling and isomorphism --------------------------------------
 
 
+def _refine(rows: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """Refine ordered cells (vertex masks) until equitable; see ``_equitable_refine``.
+
+    ``splitters`` are the cells whose counts may still vary inside a cell.
+    Each round counts every vertex's neighbors in each splitter with a
+    bit-sliced counter, one mask per count bit, so a cell splits by plain
+    mask ANDs: by each count bit, most significant first, one splitter after
+    the next. Nested splits that keep the zero side first order the parts
+    exactly as the count tuples order them, so the cells come out in the
+    order the full signatures give, not just as the same partition.
+    """
+    while splitters:
+        planes = []
+        for s in splitters:
+            if s & (s - 1) == 0:  # one vertex: its row is the only count bit
+                planes.append(rows[s.bit_length() - 1])
+                continue
+            acc: list[int] = []  # count bits, least significant first
+            while s:
+                low = s & -s
+                s ^= low
+                carry = rows[low.bit_length() - 1]
+                for i in range(len(acc)):
+                    acc[i], carry = acc[i] ^ carry, acc[i] & carry
+                    if not carry:
+                        break
+                if carry:
+                    acc.append(carry)
+            planes.extend(reversed(acc))
+        refined = []
+        splitters = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:  # singleton
+                refined.append(cell)
+                continue
+            parts = [cell]
+            for plane in planes:
+                if cell & plane and cell & ~plane:
+                    split = []
+                    for part in parts:
+                        hit = part & plane
+                        if hit and hit != part:
+                            split.append(part ^ hit)
+                            split.append(hit)
+                        else:
+                            split.append(part)
+                    parts = split
+            refined.extend(parts)
+            splitters.extend(parts[:-1])
+        cells = refined
+    return cells
+
+
 def _equitable_refine(rows: tuple[int, ...], n: int, colors: list[int]) -> list[int]:
     """Refine a coloring by iterated neighbor-color counting until stable.
 
@@ -465,30 +521,8 @@ def _equitable_refine(rows: tuple[int, ...], n: int, colors: list[int]) -> list[
     for v in range(n):
         by_color[colors[v]] = by_color.get(colors[v], 0) | (1 << v)
     cells = [by_color[c] for c in sorted(by_color)]
-    splitters = cells
-    while True:
-        refined = []
-        new_splitters = []
-        for cell in cells:
-            if cell & (cell - 1) == 0:  # singleton
-                refined.append(cell)
-                continue
-            parts: dict[tuple[int, ...], int] = {}
-            rest = cell
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                rv = rows[low.bit_length() - 1]
-                sig = tuple([(rv & m).bit_count() for m in splitters])
-                parts[sig] = parts.get(sig, 0) | low
-            ordered = [parts[s] for s in sorted(parts)]
-            refined.extend(ordered)
-            new_splitters.extend(ordered[:-1])
-        if not new_splitters:
-            break
-        cells, splitters = refined, new_splitters
     out = [0] * n
-    for color, cell in enumerate(cells):
+    for color, cell in enumerate(_refine(rows, cells, cells)):
         while cell:
             low = cell & -cell
             cell ^= low
@@ -499,91 +533,125 @@ def _equitable_refine(rows: tuple[int, ...], n: int, colors: list[int]) -> list[
 def _canonical(rows: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical adjacency rows plus a permutation achieving them.
 
-    Backtracks over every refinement cell, individualizing each vertex in
-    the first smallest non-singleton cell, and keeps the lexicographically
-    least relabeled adjacency. Automorphisms discovered at equal leaves
-    prune branches that merely permute an already-explored subtree. The
-    codes depend on the order of the colors ``_equitable_refine`` returns,
-    so a faster refinement must keep that order, not just the partition.
-    """
-    best_code: Optional[tuple[int, ...]] = None
-    best_perm: Optional[tuple[int, ...]] = None
-    best_inv: Optional[list[int]] = None
-    auts: list[tuple[int, ...]] = []
-    identity = tuple(range(n))
+    Backtracks over equitable partitions, individualizing each vertex of the
+    first smallest non-singleton cell in ascending order, and returns the
+    lexicographically least relabeled adjacency with the permutation of the
+    first leaf, in that search order, that gives it. Both are functions of
+    the whole search tree, and the tree is invariant under automorphisms, so
+    the search may skip any subtree that is an automorphism's image of one
+    searched earlier. It does so three ways, and each keeps the result:
 
-    def relabeled(perm: list[int]) -> tuple[int, ...]:
-        out = [0] * n
-        for v in range(n):
-            m = 0
+    - A child starts from its parent's cells with the individualized vertex
+      ``{v}`` as the only splitter. The parent is equitable, so each cell's
+      counts against every other cell are constant, and counting against
+      ``{v}`` alone splits the cells, in the same order, as the first round
+      of counting against all of them would.
+    - A child in the orbit of an earlier sibling under the automorphisms
+      found so far that fix the path is skipped. The orbits live in one
+      union-find per node, into which only automorphisms found since the
+      last sibling are merged.
+    - A leaf is compared with the best row by row and dropped at the first
+      larger row. A leaf equal to the best yields an automorphism mapping
+      its path onto the best leaf's; it fixes the common prefix and maps
+      the child where the paths part onto the best leaf's earlier sibling,
+      so the search backs up to that depth: the rest of the abandoned
+      subtree holds no smaller code and no earlier leaf with the best code.
+
+    The codes depend on the order of the cells ``_refine`` returns, so a
+    faster refinement must keep that order, not just the partition.
+    """
+    best_code: list[int] = []
+    best_inv: list[int] = []  # vertex of each label at the best leaf
+    best_path: tuple[int, ...] = ()
+    best_perm: tuple[int, ...] = ()
+    auts: list[list[int]] = []
+
+    def leaf(cells: list[int], path: tuple[int, ...]) -> Optional[int]:
+        """Score a discrete partition; the depth to back up to, if any."""
+        nonlocal best_code, best_inv, best_path, best_perm
+        inv = [cell.bit_length() - 1 for cell in cells]
+        perm = [0] * n
+        for label, v in enumerate(inv):
+            perm[v] = label
+        code = []
+        equal = bool(best_code)  # equal to the best so far, row by row
+        for label, v in enumerate(inv):
             row = rows[v]
+            m = 0
             while row:
                 low = row & -row
                 m |= 1 << perm[low.bit_length() - 1]
                 row ^= low
-            out[perm[v]] = m
-        return tuple(out)
+            if equal and m != best_code[label]:
+                if m > best_code[label]:
+                    return None
+                equal = False
+            code.append(m)
+        if equal:
+            auts.append([best_inv[perm[v]] for v in range(n)])
+            depth = 0
+            while path[depth] == best_path[depth]:
+                depth += 1
+            return depth
+        best_code, best_inv, best_path, best_perm = code, inv, path, tuple(perm)
+        return None
 
-    def handle_leaf(colors: list[int]):
-        nonlocal best_code, best_perm, best_inv
-        code = relabeled(colors)
-        if best_code is None or code < best_code:
-            best_code = code
-            best_perm = tuple(colors)
-            inv = [0] * n
-            for v, p in enumerate(colors):
-                inv[p] = v
-            best_inv = inv
-        elif code == best_code:
-            sigma = tuple(best_inv[colors[v]] for v in range(n))
-            if sigma != identity and sigma not in auts:
-                auts.append(sigma)
+    def search(cells: list[int], path: tuple[int, ...]) -> Optional[int]:
+        if len(cells) == n:
+            return leaf(cells, path)
+        target = 0
+        size = n + 1
+        for i, c in enumerate(cells):
+            k = c.bit_count()
+            if 1 < k < size:
+                target, size = i, k
+        cell = cells[target]
+        depth = len(path)
+        orbit: list[int] = []
+        merged = 0
 
-    def dfs(colors: list[int], prefix: tuple[int, ...]):
-        colors = _equitable_refine(rows, n, colors)
-        if max(colors) == n - 1:
-            handle_leaf(colors)
-            return
-        counts: dict[int, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = min((c for c, k in counts.items() if k > 1), key=lambda c: (counts[c], c))
-        cell = [v for v in range(n) if colors[v] == target]
-        tried: list[int] = []
-        for v in cell:
+        def find(x):
+            while orbit[x] != x:
+                orbit[x] = orbit[orbit[x]]
+                x = orbit[x]
+            return x
+
+        tried = 0
+        rest = cell
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             if tried:
-                # skip v when a known automorphism fixing the individualized
-                # prefix maps an already-explored sibling onto it
-                parent = list(range(n))
-
-                def find(x):
-                    while parent[x] != x:
-                        parent[x] = parent[parent[x]]
-                        x = parent[x]
-                    return x
-
-                for sigma in auts:
-                    if all(sigma[p] == p for p in prefix):
+                # skip v when a known automorphism fixing the path maps an
+                # already-explored sibling onto it
+                if not orbit:
+                    orbit = list(range(n))
+                for sigma in auts[merged:]:
+                    if all(sigma[p] == p for p in path):
                         for a in range(n):
                             ra, rb = find(a), find(sigma[a])
                             if ra != rb:
-                                parent[ra] = rb
-                if any(find(u) == find(v) for u in tried):
+                                orbit[ra] = rb
+                merged = len(auts)
+                root = find(v)
+                if any(find(u) == root for u in _bits(tried)):
                     continue
-            tried.append(v)
-            child = [c * 2 for c in colors]
-            child[v] -= 1
-            dfs(child, prefix + (v,))
+            tried |= low
+            child = cells[:target] + [low, cell ^ low] + cells[target + 1 :]
+            back = search(_refine(rows, child, [low]), path + (v,))
+            if back is not None and back < depth:
+                return back
+        return None
 
-    dfs([0] * n, ())
-    assert best_code is not None and best_perm is not None
-    return best_code, best_perm
+    search(_refine(rows, [(1 << n) - 1], [(1 << n) - 1]), ())
+    return tuple(best_code), best_perm
 
 
 def canonical_key(g: Graph) -> bytes:
     """Isomorphism-invariant key: the graph6 line of the canonical relabeling."""
     code, _ = _canonical(g.rows, g.n)
-    return to_graph6(Graph(g.n, code)).encode("ascii")
+    return _graph6(g.n, code)
 
 
 @dataclass(frozen=True, slots=True)

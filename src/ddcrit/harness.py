@@ -575,11 +575,12 @@ class ReportCache:
 
     Stores append a line and are idempotent per key. Each line carries the
     ``version`` of the code that wrote it. Lines of another version (or of
-    none) are not served: a load that finds any warns once with their count
-    and rewrites the file with only the lines it serves, and their reports
-    are recomputed and stored again. Corrupt lines are skipped with a
-    warning each; so is a line whose report is not of full depth, or is
-    filed under a key other than its own canonical id.
+    none) are not served: a load that finds any warns once with their count,
+    and their reports are recomputed and stored again. Corrupt lines are
+    skipped with a warning each; so is a line whose report is not of full
+    depth, or is filed under a key other than its own canonical id. A load
+    that skips any line rewrites the file with only the lines it serves, so
+    the next load has nothing to skip.
     """
 
     # Raise this whenever a stored report could differ from what the current
@@ -589,8 +590,9 @@ class ReportCache:
     def __init__(self, path):
         self.path = path
         self._entries: dict[str, PropertyReport] = {}
-        kept: list[str] = []  # the lines of this version, for a rewrite
+        kept: list[str] = []  # the lines served, for a rewrite
         stale = 0
+        corrupt = 0
         try:
             # a non-ASCII byte is read as a lone surrogate, which fails the
             # encode below, so it spoils its own line only
@@ -610,6 +612,7 @@ class ReportCache:
                         self._entries[data["key"]] = report
                         kept.append(line + "\n")
                     except (ValueError, KeyError, TypeError, AttributeError):
+                        corrupt += 1
                         print(
                             f"warning: skipping corrupt cache line {lineno} in {path}",
                             file=sys.stderr,
@@ -621,6 +624,7 @@ class ReportCache:
                 f"warning: dropping {stale} cache lines from {path} not written by version {self.VERSION}",
                 file=sys.stderr,
             )
+        if stale or corrupt:
             partial = f"{path}.partial"
             with open(partial, "w", encoding="ascii") as fh:
                 fh.writelines(kept)

@@ -222,6 +222,88 @@ def full_signature_refine(rows, n: int, colors: list[int]) -> list[int]:
         colors = new
 
 
+def reference_canonical(rows, n: int):
+    """Canonical adjacency rows plus a permutation, searched without shortcuts.
+
+    The library's labeler before it became incremental: every node refines
+    from scratch with ``full_signature_refine``, every leaf is relabeled in
+    full, and the only pruning is the orbit test, whose union-find is
+    rebuilt for every sibling. ``graphs._canonical`` must return exactly
+    this ``(code, perm)``.
+    """
+    best_code = None
+    best_perm = None
+    best_inv = None
+    auts = []
+    identity = tuple(range(n))
+
+    def relabeled(perm):
+        out = [0] * n
+        for v in range(n):
+            m = 0
+            row = rows[v]
+            while row:
+                low = row & -row
+                m |= 1 << perm[low.bit_length() - 1]
+                row ^= low
+            out[perm[v]] = m
+        return tuple(out)
+
+    def handle_leaf(colors):
+        nonlocal best_code, best_perm, best_inv
+        code = relabeled(colors)
+        if best_code is None or code < best_code:
+            best_code = code
+            best_perm = tuple(colors)
+            inv = [0] * n
+            for v, p in enumerate(colors):
+                inv[p] = v
+            best_inv = inv
+        elif code == best_code:
+            sigma = tuple(best_inv[colors[v]] for v in range(n))
+            if sigma != identity and sigma not in auts:
+                auts.append(sigma)
+
+    def dfs(colors, prefix):
+        colors = full_signature_refine(rows, n, colors)
+        if max(colors) == n - 1:
+            handle_leaf(colors)
+            return
+        counts = {}
+        for c in colors:
+            counts[c] = counts.get(c, 0) + 1
+        target = min((c for c, k in counts.items() if k > 1), key=lambda c: (counts[c], c))
+        cell = [v for v in range(n) if colors[v] == target]
+        tried = []
+        for v in cell:
+            if tried:
+                # skip v when a known automorphism fixing the individualized
+                # prefix maps an already-explored sibling onto it
+                parent = list(range(n))
+
+                def find(x):
+                    while parent[x] != x:
+                        parent[x] = parent[parent[x]]
+                        x = parent[x]
+                    return x
+
+                for sigma in auts:
+                    if all(sigma[p] == p for p in prefix):
+                        for a in range(n):
+                            ra, rb = find(a), find(sigma[a])
+                            if ra != rb:
+                                parent[ra] = rb
+                if any(find(u) == find(v) for u in tried):
+                    continue
+            tried.append(v)
+            child = [c * 2 for c in colors]
+            child[v] -= 1
+            dfs(child, prefix + (v,))
+
+    dfs([0] * n, ())
+    return best_code, best_perm
+
+
 def all_extensions(parent: Graph, claw_free: bool, degree_floor: int):
     """Rows of every child the enumerator keeps, found by trying all 2^k neighborhoods.
 

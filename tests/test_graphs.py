@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from ddcrit.constructions import clique_chain, h_r33
 from ddcrit.graphs import (
     Graph,
     Graph6Error,
+    _canonical,
     _equitable_refine,
     add_edge,
     canonical_key,
@@ -23,7 +25,7 @@ from ddcrit.graphs import (
     to_graph6,
     vertex_connectivity,
 )
-from oracles import brute_independence_number, full_signature_refine
+from oracles import brute_independence_number, full_signature_refine, reference_canonical
 
 # -- construction and validation ----------------------------------------------
 
@@ -302,6 +304,92 @@ def test_canonical_key_separates_all_small_classes(graphs_small):
     for n in range(1, 7):
         class_keys = [canonical_key(g) for g in graphs_small[n]]
         assert len(set(class_keys)) == len(class_keys)
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+def _rook_3x3():
+    """K3 square K3: the cells of a 3x3 board, adjacent in a row or a column."""
+    return Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if u // 3 == v // 3 or u % 3 == v % 3])
+
+
+def _hypercube(d):
+    return Graph.from_edges(1 << d, [(u, u | 1 << b) for u in range(1 << d) for b in range(d) if not u >> b & 1])
+
+
+def test_canonical_keys_are_pinned():
+    # a change of refinement order or tie-break changes these strings
+    assert canonical_key(h_r33(3)) == b"HwCZ|z\\"
+    assert canonical_key(_petersen()) == b"I@OZCMgs?"
+    assert canonical_key(complement(_petersen())) == b"IJm}mveyW"
+    assert canonical_key(clique_chain(1, 2, 2, 1)) == b"EJmw"
+    assert canonical_key(_rook_3x3()) == b"HBYleVS"
+    assert canonical_key(_hypercube(4)) == b"O?????NKqiLGd_i_X_F_?"
+
+
+def _assert_canonical_matches_reference(rows, n):
+    assert _canonical(rows, n) == reference_canonical(rows, n)
+
+
+def test_canonical_matches_reference_on_every_class_upto_8(graphs_by_n):
+    rng = random.Random(19)
+    for n in range(1, 9):
+        for g in graphs_by_n[n]:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            _assert_canonical_matches_reference(relabel(g, perm).rows, n)
+
+
+def test_canonical_matches_reference_on_random_graphs():
+    rng = random.Random(23)
+    for _ in range(2000):
+        n = rng.randint(9, 14)
+        p = rng.random()
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        _assert_canonical_matches_reference(g.rows, n)
+
+
+def _disjoint_union(*parts):
+    edges = []
+    offset = 0
+    for g in parts:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return Graph.from_edges(offset, edges)
+
+
+def test_canonical_matches_reference_on_symmetric_graphs():
+    # Equal leaves abound here, so the orbit pruning and the back-jump both
+    # fire. In the vertex-transitive graphs every cell the search splits is
+    # an orbit; in the unions of regular graphs of one degree the equitable
+    # cells are coarser than the orbits, so a back-jump above the depth where
+    # a leaf's path leaves the best leaf's path skips a smaller code.
+    rng = random.Random(29)
+    k33 = Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    c3, c4 = Graph.cycle(3), Graph.cycle(4)
+    specimens = [
+        _petersen(),
+        _rook_3x3(),
+        _hypercube(4),
+        _disjoint_union(c3, c4, c3, c4),
+        _disjoint_union(c3, c3, c4),
+        _disjoint_union(c3, c4, Graph.cycle(5)),
+        _disjoint_union(Graph.cycle(6), c3, c3),
+        _disjoint_union(Graph.complete(4), k33, Graph.complete(4)),
+    ]
+    for n in range(3, 13):
+        specimens += [Graph.cycle(n), Graph.complete(n)]
+    for g in specimens:
+        for h in (g, complement(g)):
+            for _ in range(4):
+                perm = list(range(h.n))
+                rng.shuffle(perm)
+                _assert_canonical_matches_reference(relabel(h, perm).rows, h.n)
 
 
 def _individualizations(colors):

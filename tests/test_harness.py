@@ -342,6 +342,26 @@ def test_cli_skips_a_cache_line_of_the_wrong_depth_or_graph(wrong, tmp_path, cap
             assert summary["passed"] == 1 and summary["extras"]["family_classes"] == [key]
 
 
+def test_a_load_drops_the_lines_it_skips_from_the_file(tmp_path, capsys):
+    g = h_r33(3)
+    key = canonical_key(g).decode("ascii")
+    wrong = analyze(Graph.complete(4), "full")
+    line = json.dumps({"key": key, "report": wrong.to_json_dict(), "version": ReportCache.VERSION})
+    cache = tmp_path / "reports.jsonl"
+    cache.write_text(line + "\n")
+    corpus = tmp_path / "family.g6"
+    corpus.write_text(to_graph6(g) + "\n")
+    warnings = 0
+    for _ in range(3):
+        assert main(["scan", str(corpus), "--cache", str(cache)]) == 0
+        warnings += capsys.readouterr().err.count("warning")
+    assert warnings == 1
+    (entry,) = [json.loads(l) for l in cache.read_text().splitlines()]
+    assert entry["key"] == key
+    assert ReportCache(cache).lookup(key) == analyze(g, "full")
+    assert not (tmp_path / "reports.jsonl.partial").exists()
+
+
 def test_cached_analyze_returns_identical_report(tmp_path):
     cache = ReportCache(tmp_path / "c.jsonl")
     g = h_6t(3)
