@@ -13,7 +13,6 @@ encoding.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
@@ -327,69 +326,79 @@ def diameter(g: Graph) -> Optional[int]:
     return best
 
 
-# -- vertex connectivity via vertex-split max flow ---------------------------
+# -- vertex connectivity: Even's method on the adjacency masks ----------------
 
 
-def _unit_flow(g: Graph, s: int, t: int) -> int:
-    """Number of internally vertex-disjoint s-t paths (s,t nonadjacent)."""
-    # Split every vertex v into 2v -> 2v+1 with capacity 1; undirected edges
-    # become a pair of infinite arcs between the split halves.
-    big = g.n
-    size = 2 * g.n
-    cap = [[0] * size for _ in range(size)]
-    adj = [[] for _ in range(size)]
+def _path_count(rows: tuple[int, ...], s: int, t: int, limit: int) -> int:
+    """min(limit, number of internally vertex-disjoint s-t paths), s and t nonadjacent.
 
-    def arc(a, b, c):
-        if not adj[a].count(b):
-            adj[a].append(b)
-            adj[b].append(a)
-        cap[a][b] += c
-
-    for v in range(g.n):
-        arc(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges():
-        arc(2 * u + 1, 2 * v, big)
-        arc(2 * v + 1, 2 * u, big)
-    source, sink = 2 * s + 1, 2 * t
+    Augmenting paths in the vertex-split network, which stays implicit: node
+    v < n is v's entry, n + v its exit, and the only flow state is
+    ``into[v]``, the vertices whose path goes on into v (at most one, except
+    at t). An exit reaches every neighbor's entry. An entry leaves through
+    its free vertex; at a vertex carrying a path it takes back the path's arc
+    into it instead. The exit of a vertex carrying a path re-enters it.
+    """
+    n = len(rows)
+    into = [0] * n
     flow = 0
-    while True:
-        parent = [-1] * size
-        parent[source] = source
-        queue = [source]
-        while queue and parent[sink] == -1:
-            nxt = []
-            for a in queue:
-                for b in adj[a]:
-                    if parent[b] == -1 and cap[a][b] > 0:
-                        parent[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if parent[sink] == -1:
+    while flow < limit:
+        via = [-1] * (2 * n)  # the node each reached node was reached from
+        via[n + s] = n + s
+        entered = 1 << s
+        queue = [n + s]
+        for x in queue:  # breadth first: the queue grows while it is read
+            if x >= n:
+                u = x - n
+                fresh = rows[u] & ~entered
+                if into[u]:  # re-enter u
+                    fresh |= 1 << u & ~entered
+                entered |= fresh
+                for v in _bits(fresh):
+                    via[v] = x
+                    queue.append(v)
+                if via[t] >= 0:
+                    break
+            elif into[x]:  # take back the arc p -> x
+                p = n + into[x].bit_length() - 1
+                if via[p] < 0:
+                    via[p] = x
+                    queue.append(p)
+            elif via[n + x] < 0:  # through x
+                via[n + x] = x
+                queue.append(n + x)
+        if via[t] < 0:
             return flow
-        b = sink
-        while b != source:
-            a = parent[b]
-            cap[a][b] -= 1
-            cap[b][a] += 1
-            b = a
+        x = t
+        while x != n + s:
+            y = via[x]
+            if x < n <= y and y != n + x:  # the edge from y's vertex into x
+                into[x] |= 1 << (y - n)
+            elif y < n <= x and x != n + y:  # taken back: no path goes from x's vertex into y
+                into[y] &= ~(1 << (x - n))
+            x = y
         flow += 1
+    return flow
 
 
 def vertex_connectivity(g: Graph) -> int:
     """Minimum number of vertices whose removal disconnects the graph.
 
-    Complete graphs return n-1 by convention. Requires n >= 2.
+    Complete graphs return n-1 by convention. Requires n >= 2. Even's
+    method: a minimum cut S misses one of vertices 0..|S|, and the least
+    vertex it misses is cut from some later non-neighbor, so only those
+    sources are counted, against later non-neighbors, with every count
+    stopped at the best cut so far. The minimum degree bounds the cut.
     """
     if g.n < 2:
         raise ValueError("vertex connectivity needs at least 2 vertices")
-    if g.is_complete():
-        return g.n - 1
-    best = g.n - 1
-    for u, v in itertools.combinations(range(g.n), 2):
-        if not g.adjacent(u, v):
-            best = min(best, _unit_flow(g, u, v))
-            if best == 0:
-                return 0
+    rows = g.rows
+    best = min_degree(g)
+    s = 0
+    while s <= best:
+        for t in _bits(((1 << g.n) - 1) & ~rows[s] & -(2 << s)):
+            best = _path_count(rows, s, t, best)
+        s += 1
     return best
 
 
@@ -454,9 +463,14 @@ def independence_number(g: Graph) -> tuple[int, frozenset]:
 
 
 def _refine(rows: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
-    """Refine ordered cells (vertex masks) until equitable; see ``_equitable_refine``.
+    """Refine ordered cells (vertex masks) until equitable.
 
-    ``splitters`` are the cells whose counts may still vary inside a cell.
+    Every cell splits by its members' neighbor counts, parts in count order
+    and in the cell's place, until no cell splits; singletons are skipped.
+    ``splitters`` are the cells whose counts may still vary inside a cell:
+    after the first round, the parts split off last, less the last part of
+    each split cell.
+
     Each round counts every vertex's neighbors in each splitter with a
     bit-sliced counter, one mask per count bit, so a cell splits by plain
     mask ANDs: by each count bit, most significant first, one splitter after
@@ -504,30 +518,6 @@ def _refine(rows: tuple[int, ...], cells: list[int], splitters: list[int]) -> li
             splitters.extend(parts[:-1])
         cells = refined
     return cells
-
-
-def _equitable_refine(rows: tuple[int, ...], n: int, colors: list[int]) -> list[int]:
-    """Refine a coloring by iterated neighbor-color counting until stable.
-
-    Each round splits every cell by its members' neighbor counts in the
-    cells, parts in count order and in the cell's place, so output colors
-    are dense 0..k-1, follow the input order, and are relabeling-invariant.
-    Singleton cells are skipped, and after the first round only the parts
-    split off in the last round, less the last part of each split cell, are
-    counted against: the other counts are equal within every cell, so the
-    order is the one full count vectors give. Stops when no cell splits.
-    """
-    by_color: dict[int, int] = {}
-    for v in range(n):
-        by_color[colors[v]] = by_color.get(colors[v], 0) | (1 << v)
-    cells = [by_color[c] for c in sorted(by_color)]
-    out = [0] * n
-    for color, cell in enumerate(_refine(rows, cells, cells)):
-        while cell:
-            low = cell & -cell
-            cell ^= low
-            out[low.bit_length() - 1] = color
-    return out
 
 
 def _canonical(rows: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

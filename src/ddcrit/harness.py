@@ -43,9 +43,11 @@ from .graphs import (
 )
 from .matching import FactorCriticalityVerdict, is_k_factor_critical_direct
 
-# Several checks and campaigns read the report of the same graph, so memoize
-# on the immutable graph.
-_criticality_report = lru_cache(maxsize=1 << 18)(crit.criticality_report)
+# Each graph's memo computes its report once, so this keeps nothing: a sized
+# cache held the report of every distinct graph a scan met and never hit. It
+# stays an lru_cache under this name because the benchmark tracer reads its
+# ``cache_info()`` and rebinds it, and the tests monkeypatch it.
+_criticality_report = lru_cache(maxsize=0)(crit.criticality_report)
 
 
 @dataclass

@@ -101,7 +101,7 @@ def _maximum_matching_array(rows: tuple[int, ...], n: int) -> list[int]:
                     match[u] = v
                     break
     for v in range(n):
-        if match[v] == -1:
+        if match[v] == -1 and rows[v]:  # an isolated vertex stays unmatched
             _try_augment(rows, n, v, match)
     return match
 
@@ -131,18 +131,12 @@ def has_perfect_matching(g: Graph) -> bool:
 
 
 def _has_pm_minus(rows: tuple[int, ...], n: int, removed_mask: int) -> bool:
-    alive = [v for v in range(n) if not removed_mask >> v & 1]
-    m = len(alive)
-    if m % 2:
+    if (n - removed_mask.bit_count()) % 2:
         return False
-    if m == 0:
-        return True
-    pos = {v: i for i, v in enumerate(alive)}
-    sub = tuple(
-        sum(1 << pos[u] for u in _bits(rows[v] & ~removed_mask)) for v in alive
-    )
-    match = _maximum_matching_array(sub, m)
-    return all(x != -1 for x in match)
+    sub = tuple(0 if removed_mask >> v & 1 else row & ~removed_mask for v, row in enumerate(rows))
+    # the deleted vertices are isolated, so a perfect matching of the rest
+    # leaves exactly them unmatched
+    return _maximum_matching_array(sub, n).count(-1) == removed_mask.bit_count()
 
 
 def is_k_factor_critical_direct(g: Graph, k: int) -> FactorCriticalityVerdict:

@@ -158,6 +158,16 @@ def test_scan_computes_each_field_once(monkeypatch):
     assert connectivity == [(line.strip(),) for line in lines[:2]]  # C9 stopped at its degree
 
 
+def test_scan_keeps_no_criticality_report_past_its_graph():
+    graphs = [h_r33(3), h_6t(3), from_graph6(NOT_CRITICAL), from_graph6(PASSES_OUTSIDE_FAMILY), Graph.cycle(7)]
+    harness._criticality_report.cache_clear()
+    records = list(scan([to_graph6(g) + "\n" for g in graphs], depth="full"))
+    assert len(records) == len(graphs)
+    info = harness._criticality_report.cache_info()
+    assert info.misses >= len(graphs)  # every report went through it
+    assert info.currsize == 0
+
+
 def test_scan_cache_hits_skip_structural_fields(tmp_path, monkeypatch):
     lines = [to_graph6(h_r33(3)) + "\n", to_graph6(h_6t(3)) + "\n"]
     cold = [record_to_json(r) for r in scan(lines, cache=ReportCache(tmp_path / "c.jsonl"))]

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from ddcrit.constructions import clique_chain, h_r33
+from ddcrit.constructions import clique_chain, h_6t, h_r33
 from ddcrit.graphs import (
     Graph,
     Graph6Error,
     _canonical,
-    _equitable_refine,
+    _path_count,
     add_edge,
     canonical_key,
     closed_neighborhood,
@@ -25,7 +25,14 @@ from ddcrit.graphs import (
     to_graph6,
     vertex_connectivity,
 )
-from oracles import brute_independence_number, full_signature_refine, reference_canonical
+from oracles import (
+    all_pairs_vertex_connectivity,
+    brute_independence_number,
+    equitable_refine,
+    full_signature_refine,
+    reference_canonical,
+    unit_flow,
+)
 
 # -- construction and validation ----------------------------------------------
 
@@ -229,6 +236,53 @@ def test_vertex_connectivity_against_cut_enumeration(graphs_small):
         assert vertex_connectivity(g) == brute
 
 
+def _gnp(rng, n, p):
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_vertex_connectivity_matches_all_pairs_oracle(graphs_by_n):
+    rng = random.Random(41)
+    for n in range(2, 9):
+        for g in graphs_by_n[n]:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            assert vertex_connectivity(h) == all_pairs_vertex_connectivity(h), to_graph6(h)
+    for n in range(9, 31):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            g = _gnp(rng, n, p)
+            assert vertex_connectivity(g) == all_pairs_vertex_connectivity(g), to_graph6(g)
+
+
+def test_limited_path_count_matches_unit_flow(graphs_small):
+    for n in range(2, 8):
+        for g in graphs_small[n]:
+            for s, t in g.non_edges():
+                flow = unit_flow(g, s, t)
+                for limit in range(n + 1):
+                    assert _path_count(g.rows, s, t, limit) == min(flow, limit), (to_graph6(g), s, t, limit)
+    # sparse graphs have long augmenting paths; on these three the second
+    # path is found only by re-entering a vertex that carries the first
+    for text, s, t in (("HcOOZ?o", 5, 7), ("IM_A?KGHG", 3, 5), ("J??Kf?ES@O?", 2, 3)):
+        g = from_graph6(text)
+        assert _path_count(g.rows, s, t, g.n) == unit_flow(g, s, t) == 2
+    rng = random.Random(43)
+    for _ in range(2000):
+        n = rng.randint(9, 24)
+        g = _gnp(rng, n, rng.uniform(2.5, 5.0) / n)
+        s, t = rng.choice(g.non_edges())
+        assert _path_count(g.rows, s, t, n) == unit_flow(g, s, t), (to_graph6(g), s, t)
+
+
+def test_vertex_connectivity_pinned():
+    k33 = Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    assert vertex_connectivity(_petersen()) == 3
+    assert vertex_connectivity(_hypercube(4)) == 4
+    assert vertex_connectivity(k33) == 3
+    assert vertex_connectivity(h_6t(3)) == 4
+    assert vertex_connectivity(h_r33(3)) == 3
+
+
 # -- induced stars and independence ----------------------------------------------
 
 
@@ -402,7 +456,7 @@ def _individualizations(colors):
 
 def _assert_refinement_matches_oracle(rows, n, colors):
     expected = full_signature_refine(rows, n, colors)
-    assert _equitable_refine(rows, n, colors) == expected
+    assert equitable_refine(rows, n, colors) == expected
     return expected
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ddcrit
+from ddcrit import harness
 from ddcrit.cli import main
 from ddcrit.constructions import clique_chain, h_6t, h_r33, h_r33_triple
 from ddcrit.criticality import FAIL, NOT_APPLICABLE, PASS
@@ -594,3 +596,28 @@ def test_cli_rejects_conflicting_and_out_of_range_options(argv, capsys):
 def test_cli_usage_error_exit_code():
     result = run_cli(["verify", "lemma99"])
     assert result.returncode == 2
+
+
+def test_benchmark_tracer_still_binds_every_layer(tmp_path, capsys):
+    # bench/tracer.py wraps these functions by name; a rename in the package
+    # would otherwise surface only in the benchmark's own test suite. The
+    # theorem1 corpus below order 9 stops before connectivity, so the run
+    # reads two order-9 graphs that reach factor criticality.
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("".join(_lines([h_r33(3), from_graph6("Htoyz\\v")])))
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("ddcrit_bench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    report = harness._criticality_report
+    assert report.cache_info() is not None  # the tracer sizes its own memo from it
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()  # raises when no module binds one of its targets
+        assert main(["verify", "theorem1", "--input", str(corpus)]) == 0
+    finally:
+        tracer.uninstall()
+    assert harness._criticality_report is report
+    assert "examined" in capsys.readouterr().out
+    names = {span[0] for span in tracer.spans}
+    assert {"graphs.vertex_connectivity", "matching.factor_critical"} <= names
