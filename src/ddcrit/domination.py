@@ -1,4 +1,5 @@
-"""Exact k-tuple domination: feasibility, minimum solutions, full enumeration.
+"""Exact k-tuple domination: feasibility, minimum solutions, full enumeration,
+and a bounded test of whether three vertices double dominate.
 
 A set S k-tuple dominates when every closed neighborhood meets S at least k
 times. Such a set exists iff the minimum degree is at least k-1; that case is
@@ -121,6 +122,41 @@ def gamma_xk(g: Graph, k: int) -> GammaResult:
 
     dfs((0,) * n, 0, 0, 0)
     return GammaResult(k, True, best_size, _witness(g, k, best_mask))
+
+
+def gamma2_at_most_3(g: Graph) -> bool:
+    """Does some set of at most 3 vertices double dominate g?
+
+    A superset of a double dominating set is one, so only sets of size
+    min(3, n) are walked, in lexicographic order, with the once/twice
+    coverage of the vertices still to be chosen: a pair is cut when a vertex
+    covered fewer than twice can no longer get its missing cover from one
+    later vertex, and a first vertex when some vertex cannot be covered twice
+    by it and two later ones.
+    """
+    n = g.n
+    if n < 3:  # of K1, 2K1 and K2 only K2 has one, its two vertices
+        return n == 2 and g.rows[0] == 2
+    full = (1 << n) - 1
+    closed = _closed_rows(g)
+    # vertices covered at least once / at least twice by the vertices x..n-1
+    once = [0] * (n + 1)
+    twice = [0] * (n + 1)
+    for x in range(n - 1, -1, -1):
+        twice[x] = twice[x + 1] | (once[x + 1] & closed[x])
+        once[x] = once[x + 1] | closed[x]
+    for a in range(n - 2):
+        ca = closed[a]
+        if (ca & once[a + 1]) | twice[a + 1] != full:
+            continue
+        for b in range(a + 1, n - 1):
+            ge1, ge2 = ca | closed[b], ca & closed[b]
+            if ge2 | (ge1 & once[b + 1]) != full:
+                continue
+            need = full & ~ge2  # each needs one more cover, from the third vertex
+            if any(need & ~closed[c] == 0 for c in range(b + 1, n)):
+                return True
+    return False
 
 
 def all_minimum_dds(g: Graph) -> list[frozenset]:

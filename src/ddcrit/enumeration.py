@@ -25,8 +25,14 @@ Children are not drawn from all 2^k neighborhoods: only those meeting the
 degree floor with a new vertex of largest degree are built, i.e. supersets of
 the parent's below-floor vertices whose size t reaches both the floor and the
 parent's maximum degree, leaving out vertices already of degree t (a parent
-with a vertex two below the floor has no child). The neighbor-degree sum is
-then computed only for the vertices whose degree ties the new vertex's.
+with a vertex two below the floor has no child). Only the vertices whose
+degree ties the new vertex's are compared, and their neighbor-degree sums
+come from the parent's, computed once per parent: attaching a new vertex
+with neighborhood N of size t adds popcount(row & N) to a vertex's sum, and
+t more when the vertex is in N, while the new vertex's sum is t plus the
+parent degrees over N. Rows are built only for children that pass, and the
+stored canonical rows skip ``Graph``'s validation, since they are a
+relabeling of rows built from valid ones.
 
 Results are sorted by canonical key, so output order is deterministic.
 """
@@ -57,33 +63,46 @@ def _claw_touching(rows: list[int], v: int) -> bool:
     return False
 
 
-def _vertex_invariants(rows: list[int], vertices) -> list[tuple[int, int]]:
-    """(degree, sum of neighbor degrees) of each listed vertex; preserved by relabeling."""
-    return [(rows[v].bit_count(), sum(rows[u].bit_count() for u in _bits(rows[v]))) for v in vertices]
-
-
 def _extensions(parent: Graph, claw_free: bool, degree_floor: int):
     """Adjacency rows of the children whose new vertex has a maximal invariant."""
     k = parent.n
     new_bit = 1 << k
-    degrees = [r.bit_count() for r in parent.rows]
+    prows = parent.rows
+    degrees = [r.bit_count() for r in prows]
     if min(degrees) < degree_floor - 1:
         return
+    # each vertex's sum of neighbor degrees in the parent, from which every
+    # child's sums follow (see the module docstring)
+    sums = [sum(degrees[u] for u in _bits(r)) for r in prows]
     forced = sum(1 << v for v in range(k) if degrees[v] < degree_floor)
+    forced_sum = sum(degrees[v] for v in _bits(forced))
+    forced_rows = [r | new_bit if forced >> v & 1 else r for v, r in enumerate(prows)]
     for t in range(max(max(degrees), degree_floor, forced.bit_count()), k + 1):
-        pool = [v for v in range(k) if not forced >> v & 1 and degrees[v] < t]
+        pool = [(v, 1 << v, degrees[v]) for v in range(k) if not forced >> v & 1 and degrees[v] < t]
         # child degrees that tie t: degree t - 1 plus the new vertex, or degree t
         tie_in = sum(1 << v for v in range(k) if degrees[v] == t - 1)
         tie_out = sum(1 << v for v in range(k) if degrees[v] == t)
         for extra in itertools.combinations(pool, t - forced.bit_count()):
-            nbhd = forced | sum(1 << v for v in extra)
-            rows = [r | new_bit if nbhd >> v & 1 else r for v, r in enumerate(parent.rows)]
-            rows.append(nbhd)
+            nbhd = forced
+            new_sum = forced_sum + t
+            for _, bit, degree in extra:
+                nbhd |= bit
+                new_sum += degree
+            # every tied vertex has the new vertex's degree, so compare sums;
+            # a tied vertex left over has the larger one
             tied = (nbhd & tie_in) | tie_out
+            while tied:
+                low = tied & -tied
+                u = low.bit_length() - 1
+                if sums[u] + (prows[u] & nbhd).bit_count() + (t if nbhd & low else 0) > new_sum:
+                    break
+                tied ^= low
             if tied:
-                invariants = _vertex_invariants(rows, [*_bits(tied), k])
-                if invariants[-1] < max(invariants):
-                    continue
+                continue
+            rows = forced_rows.copy()
+            for v, _, _ in extra:
+                rows[v] |= new_bit
+            rows.append(nbhd)
             if claw_free and _claw_touching(rows, k):
                 continue
             yield tuple(rows)
@@ -99,7 +118,7 @@ def _levels(n: int, claw_free: bool, final_min_degree: Optional[int]) -> Iterato
             for rows in _extensions(parent, claw_free, floor):
                 code, _ = _canonical(rows, k)
                 if code not in seen:
-                    seen[code] = Graph(k, code)
+                    seen[code] = Graph._trusted(k, code)
         level = [seen[code] for code in sorted(seen)]
         yield level
 

@@ -61,6 +61,15 @@ class Graph:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """A graph from rows already known valid (a tuple of n symmetric,
+        loop-free rows), built without the checks of ``__post_init__``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         rows = [0] * n
         for u, v in edges:

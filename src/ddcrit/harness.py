@@ -3,15 +3,19 @@ verification campaigns, and a JSONL report cache.
 
 Every invariant of a graph is read through one per-graph memo,
 ``GraphFacts``, which computes a field on first read and keeps it. Each named
-check tests its hypotheses cheapest first (degree, claws and diameter before
-the domination solver, connectivity before criticality, factor criticality
-and family membership last), so a campaign computes only what its own
-verdict reads and stops at the first hypothesis that fails. Full property
-reports and verdicts are read from the same memo; with a report cache, the
-memo adopts the cached full report (computed once per class). Scan output
-is JSONL, one record per surviving input line, deterministic for a fixed
-input order and flag set. A scan streams: it reads one input line at a
-time and emits its record before reading the next.
+check tests its hypotheses cheapest first (order, degree, claws and diameter
+before domination, connectivity before criticality, factor criticality and
+family membership last), so a campaign computes only what its own verdict
+reads and stops at the first hypothesis that fails. The checks ask only
+whether the double domination number is 4: a set of at most three vertices
+that double dominates answers no without the exact solver, which runs only
+when there is none (or the memo already holds the number). The theorem1
+corpus is generated claw-free, so its memos start with that fact. Full
+property reports and verdicts are read from the same memo; with a report
+cache, the memo adopts the cached full report (computed once per class).
+Scan output is JSONL, one record per surviving input line, deterministic for
+a fixed input order and flag set. A scan streams: it reads one input line
+at a time and emits its record before reading the next.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 from . import criticality as crit
 from .constructions import clique_chain, is_in_family_H
 from .criticality import FAIL, NOT_APPLICABLE, PASS
-from .domination import gamma_xk
+from .domination import gamma2_at_most_3, gamma_xk
 from .enumeration import _levels, connected_graphs
 from .graphs import (
     Graph,
@@ -95,8 +99,9 @@ class GraphFacts:
 
     Attribute names match ``PropertyReport``. Factor criticality is read per
     deletion size through ``factor_verdict`` (witness included) or
-    ``factor_critical_at``. A cached full report is taken in through
-    ``adopt`` (see ``analyze``) instead of being computed.
+    ``factor_critical_at``. The checks ask ``gamma2_is_4()``, which solves
+    for ``gamma2`` only when it must. A cached full report is taken in
+    through ``adopt`` (see ``analyze``) instead of being computed.
     """
 
     def __init__(self, g: Graph):
@@ -144,6 +149,13 @@ class GraphFacts:
     def gamma2(self) -> Optional[int]:
         gamma = gamma_xk(self.g, 2)
         return gamma.size if gamma.feasible else None
+
+    def gamma2_is_4(self) -> bool:
+        """Is the double domination number 4? Solved exactly only when no set
+        of at most three vertices double dominates and the memo lacks it."""
+        if "gamma2" not in self.__dict__ and gamma2_at_most_3(self.g):
+            return False
+        return self.gamma2 == 4
 
     @cached_property
     def criticality(self) -> Optional[crit.CriticalityReport]:
@@ -234,7 +246,7 @@ def _verdict(status: str, witness: Optional[dict] = None) -> dict:
 
 
 def _four_critical(f: GraphFacts) -> bool:
-    return f.gamma2 == 4 and bool(f.critical)
+    return f.gamma2_is_4() and bool(f.critical)
 
 
 def _lemma1(f: GraphFacts) -> dict:
@@ -290,7 +302,7 @@ def _theorem1_hypotheses(f: GraphFacts) -> bool:
         f.order % 2 == 1
         and f.min_degree >= 4
         and f.claw_free
-        and f.gamma2 == 4
+        and f.gamma2_is_4()
         and f.connectivity >= 3
         and bool(f.critical)
     )
@@ -527,10 +539,13 @@ class CampaignSummary:
 _LEMMA2_CHAIN_MAX = 4
 
 
-def run_campaign(name: str, graphs: Iterable[Graph], cache: Optional["ReportCache"] = None) -> CampaignSummary:
-    """Run one named check over a corpus.
+def run_campaign(
+    name: str, graphs: Iterable[Union[Graph, GraphFacts]], cache: Optional["ReportCache"] = None
+) -> CampaignSummary:
+    """Run one named check over a corpus of graphs, or of their memos.
 
-    Each graph gets one memo. Without a cache it computes only the fields
+    Each graph gets one memo (a given memo is used as it is, with the facts
+    it already holds). Without a cache it computes only the fields
     the check reads; with one, it first takes the full report (from the
     cache, or computed and stored) so the cache keeps holding full reports.
     ``lemma1`` tallies the diameters of its passes; ``lemma2`` adds the
@@ -542,11 +557,11 @@ def run_campaign(name: str, graphs: Iterable[Graph], cache: Optional["ReportCach
     summary = CampaignSummary(name)
     family: dict[str, int] = {}
     for g in graphs:
-        facts = GraphFacts(g)
+        facts = g if isinstance(g, GraphFacts) else GraphFacts(g)
         if cache is not None:
             analyze(facts, "full", cache=cache)
         verdict = check(facts)
-        summary.count(g, verdict)
+        summary.count(facts.g, verdict)
         if name == "lemma1" and verdict["status"] == PASS:
             hist = summary.extras.setdefault("diameter_counts", {})
             hist[facts.diameter] = hist.get(facts.diameter, 0) + 1
@@ -651,18 +666,23 @@ class ReportCache:
 # -- built-in corpora ------------------------------------------------------------
 
 
-def default_corpus(check: str, max_order: int) -> Iterator[Graph]:
-    """Built-in corpus for a named campaign.
+def default_corpus(check: str, max_order: int) -> Iterator[GraphFacts]:
+    """Built-in corpus for a named campaign, one fresh memo per graph.
 
     The first four checks walk every connected graph up to the order cap. The
     main-claim campaign walks connected claw-free graphs of odd order with
     minimum degree at least 4 (its own hypotheses), which keeps the
-    enumeration tractable at order 9 without an external generator.
+    enumeration tractable at order 9 without an external generator. The
+    generator builds those graphs claw-free, so their memos start with
+    ``claw_free`` set instead of testing it again.
     """
     if check == "theorem1":
         for n in range(3, max_order + 1):
             if n % 2 == 1:
-                yield from connected_graphs(n, claw_free=True, final_min_degree=4)
+                for g in connected_graphs(n, claw_free=True, final_min_degree=4):
+                    facts = GraphFacts(g)
+                    facts.claw_free = True  # shadows the cached_property
+                    yield facts
     else:
         for level in _levels(max_order, False, None):
-            yield from filter(is_connected, level)
+            yield from map(GraphFacts, filter(is_connected, level))

@@ -30,4 +30,4 @@ def connected_upto_8(graphs_by_n):
 @pytest.fixture(scope="session")
 def theorem1_corpus():
     """Connected claw-free graphs of odd order <= 9 with minimum degree >= 4."""
-    return list(default_corpus("theorem1", 9))
+    return [facts.g for facts in default_corpus("theorem1", 9)]

@@ -352,6 +352,40 @@ def all_extensions(parent: Graph, claw_free: bool, degree_floor: int):
         yield tuple(rows)
 
 
+def vertex_invariants(rows, vertices) -> list[tuple[int, int]]:
+    """(degree, sum of neighbor degrees) of each listed vertex; preserved by relabeling."""
+    return [(rows[v].bit_count(), sum(rows[u].bit_count() for u in _bits(rows[v]))) for v in vertices]
+
+
+def summed_extensions(parent: Graph, claw_free: bool, degree_floor: int):
+    """The enumerator's child generator before it took neighbor-degree sums
+    from its parent: each child's rows are built, then the sums of the
+    vertices tied with the new vertex's degree are added up from scratch.
+    The library must yield the same rows in the same order."""
+    k = parent.n
+    new_bit = 1 << k
+    degrees = [r.bit_count() for r in parent.rows]
+    if min(degrees) < degree_floor - 1:
+        return
+    forced = sum(1 << v for v in range(k) if degrees[v] < degree_floor)
+    for t in range(max(max(degrees), degree_floor, forced.bit_count()), k + 1):
+        pool = [v for v in range(k) if not forced >> v & 1 and degrees[v] < t]
+        tie_in = sum(1 << v for v in range(k) if degrees[v] == t - 1)
+        tie_out = sum(1 << v for v in range(k) if degrees[v] == t)
+        for extra in itertools.combinations(pool, t - forced.bit_count()):
+            nbhd = forced | sum(1 << v for v in extra)
+            rows = [r | new_bit if nbhd >> v & 1 else r for v, r in enumerate(parent.rows)]
+            rows.append(nbhd)
+            tied = (nbhd & tie_in) | tie_out
+            if tied:
+                invariants = vertex_invariants(rows, [*_bits(tied), k])
+                if invariants[-1] < max(invariants):
+                    continue
+            if claw_free and _claw_touching(rows, k):
+                continue
+            yield tuple(rows)
+
+
 @lru_cache(maxsize=None)
 def per_edge_criticality_report(g: Graph, gamma2=None):
     """Classify edge criticality by solving every single-edge augmentation.

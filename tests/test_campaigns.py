@@ -109,6 +109,35 @@ def test_theorem1_runs_expensive_tests_only_past_cheaper_hypotheses(monkeypatch)
     assert factor == [(name(outside), 3)]  # the family member passes without it
 
 
+def test_theorem1_skips_the_facts_its_corpus_already_has(tmp_path, monkeypatch, capsys):
+    claws = _count_calls(monkeypatch, "is_k1r_free")
+    solves = _count_calls(monkeypatch, "gamma_xk")
+    summary = run_campaign("theorem1", default_corpus("theorem1", 9))
+    assert (summary.examined, summary.passed, summary.not_applicable) == (1544, 18, 1526)
+    # the generator builds the corpus claw-free, and 1 431 of its graphs are
+    # double dominated by three vertices, so only gamma2 = 4 is solved exactly
+    assert claws == []
+    assert len(solves) == 113 and {k for _, k in solves} == {2}
+    # graphs read from a file are claw-tested, and h_6t stops at its claw
+    path = tmp_path / "corpus.g6"
+    path.write_text(to_graph6(h_6t(3)) + "\n")
+    del solves[:]
+    assert main(["verify", "theorem1", "--input", str(path)]) == 0
+    assert '"not_applicable":1' in capsys.readouterr().out
+    assert claws == [(to_graph6(h_6t(3)), 3)] and solves == []
+
+
+def test_checks_read_a_gamma2_the_memo_holds(monkeypatch):
+    bounded = _count_calls(monkeypatch, "gamma2_at_most_3")
+    for g in (h_r33(3), Graph.complete(9), from_graph6(NOT_CRITICAL)):
+        facts = GraphFacts(g)
+        analyze(facts, "full")
+        compute_verdicts(facts)
+    assert bounded == []
+    assert GraphFacts(Graph.complete(9)).gamma2_is_4() is False
+    assert bounded == [(to_graph6(Graph.complete(9)),)]
+
+
 def test_criticality_reuses_the_memos_gamma2(monkeypatch):
     g = h_r33(3)
     harness._criticality_report.cache_clear()
@@ -219,7 +248,7 @@ def test_verify_with_cache_matches_and_then_hits(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == PINNED_ORDER7["theorem1"] + "\n"
     entries = [json.loads(line) for line in path.read_text().splitlines()]
-    corpus_keys = sorted(canonical_key(g).decode("ascii") for g in default_corpus("theorem1", 7))
+    corpus_keys = sorted(facts.canonical_id for facts in default_corpus("theorem1", 7))
     assert sorted(e["key"] for e in entries) == corpus_keys  # one line per examined class
     assert all(e["report"]["depth"] == "full" for e in entries)
 

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from ddcrit.domination import all_minimum_dds, gamma_xk, is_k_tuple_dominating
+from ddcrit.domination import all_minimum_dds, gamma2_at_most_3, gamma_xk, is_k_tuple_dominating
 from ddcrit.graphs import Graph, add_edge, is_connected
 from ddcrit.constructions import h_r33
 from oracles import brute_min_k_tuple_size
@@ -123,3 +124,39 @@ def test_solver_witness_on_family_graph():
     result = gamma_xk(g, 2)
     assert result.size == 4
     assert is_k_tuple_dominating(g, result.witness.vertices, 2)
+
+
+def _at_most_3_by_solver(g):
+    result = gamma_xk(g, 2)
+    return result.feasible and result.size <= 3
+
+
+def test_three_vertex_test_matches_the_solver(graphs_by_n):
+    for n in range(1, 9):
+        for g in graphs_by_n[n]:
+            assert gamma2_at_most_3(g) == _at_most_3_by_solver(g)
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(9, 16)
+        p = rng.choice((0.3, 0.5, 0.7, 0.85))
+        g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        assert gamma2_at_most_3(g) == _at_most_3_by_solver(g)
+
+
+def test_three_vertex_test_on_tiny_graphs_and_isolated_vertices():
+    # every graph on 1-3 vertices: only the whole vertex set can work, and it
+    # does exactly when there is no isolated vertex
+    tiny = {
+        Graph.empty(1): False,
+        Graph.empty(2): False,
+        Graph.complete(2): True,
+        Graph.empty(3): False,
+        Graph.from_edges(3, [(0, 1)]): False,
+        Graph.path(3): True,
+        Graph.complete(3): True,
+    }
+    assert {g: gamma2_at_most_3(g) for g in tiny} == tiny
+    for n in range(2, 12):
+        # K_{n-1} plus an isolated vertex has no double dominating set
+        g = Graph.from_edges(n, itertools.combinations(range(n - 1), 2))
+        assert not gamma2_at_most_3(g) and not gamma_xk(g, 2).feasible

@@ -7,13 +7,12 @@ from ddcrit import enumeration
 from ddcrit.enumeration import (
     _extensions,
     _levels,
-    _vertex_invariants,
     connected_graphs,
     enumerate_graphs,
     graphs_upto,
 )
 from ddcrit.graphs import Graph, canonical_key, is_connected, is_k1r_free, min_degree, relabel, to_graph6
-from oracles import all_extensions, naive_all_graphs, unpruned_levels
+from oracles import all_extensions, naive_all_graphs, summed_extensions, unpruned_levels, vertex_invariants
 
 # class counts per order, cross-checked between the two generators below
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -102,8 +101,8 @@ def test_vertex_invariants_follow_relabeling(graphs_small):
         for g in graphs_small[n]:
             perm = list(range(n))
             rng.shuffle(perm)
-            before = _vertex_invariants(g.rows, range(n))
-            after = _vertex_invariants(relabel(g, perm).rows, range(n))
+            before = vertex_invariants(g.rows, range(n))
+            after = vertex_invariants(relabel(g, perm).rows, range(n))
             assert [after[perm[v]] for v in range(n)] == before
 
 
@@ -126,7 +125,22 @@ def test_feasible_neighborhoods_match_oracle_claw_free(degree):
         for k, level in enumerate(parent_levels, start=1):
             floor = degree - (n - k - 1)  # the floor of the children's level
             for parent in level:
-                assert sorted(_extensions(parent, True, floor)) == sorted(all_extensions(parent, True, floor))
+                children = list(_extensions(parent, True, floor))
+                assert children == list(summed_extensions(parent, True, floor))
+                assert sorted(children) == sorted(all_extensions(parent, True, floor))
+
+
+def test_parent_sums_give_the_summed_children_in_order(graphs_by_n):
+    for n in range(1, 9):
+        for parent in graphs_by_n[n]:
+            assert list(_extensions(parent, False, 0)) == list(summed_extensions(parent, False, 0))
+
+
+def test_generated_theorem1_corpus_is_claw_free_with_min_degree_4():
+    # the theorem1 campaign takes both facts from the generator unchecked
+    for n in range(1, 11):
+        for g in connected_graphs(n, claw_free=True, final_min_degree=4):
+            assert is_k1r_free(g, 3)[0] and min_degree(g) >= 4
 
 
 def test_labelings_per_level_are_pinned(monkeypatch):

@@ -417,12 +417,39 @@ def _disjoint_union(*parts):
     return Graph.from_edges(offset, edges)
 
 
+def _chang():
+    """The first Chang graph, srg(28, 12, 6, 4): the line graph of K8 with
+    Seidel switching on the four edges of a perfect matching."""
+    pairs = [(a, b) for a in range(8) for b in range(a + 1, 8)]
+    switched = {pairs.index(e) for e in [(0, 1), (2, 3), (4, 5), (6, 7)]}
+    return Graph.from_edges(
+        28,
+        [
+            (u, v)
+            for u in range(28)
+            for v in range(u + 1, 28)
+            if (len(set(pairs[u]) & set(pairs[v])) == 1) != ((u in switched) != (v in switched))
+        ],
+    )
+
+
+# A relabeling of the Chang graph on which the search meets, below its first
+# individualized vertex, an automorphism that moves that vertex. Merging it
+# into the orbits there (instead of only automorphisms fixing the path)
+# skips a child that is not an image of an explored one, and the labeling
+# comes out wrong; the vertex-transitive specimens below never show this.
+CHANG_RELABELED = "[PMbkHGo^LiY`]mTHMlpuBWiw@P}JR\\PV@TcSncFKOJHCDlDpac`ObJbCRaycGH~"
+
+
 def test_canonical_matches_reference_on_symmetric_graphs():
     # Equal leaves abound here, so the orbit pruning and the back-jump both
     # fire. In the vertex-transitive graphs every cell the search splits is
     # an orbit; in the unions of regular graphs of one degree the equitable
     # cells are coarser than the orbits, so a back-jump above the depth where
     # a leaf's path leaves the best leaf's path skips a smaller code.
+    chang = from_graph6(CHANG_RELABELED)
+    assert canonical_key(chang) == canonical_key(_chang())
+    _assert_canonical_matches_reference(chang.rows, chang.n)
     rng = random.Random(29)
     k33 = Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
     c3, c4 = Graph.cycle(3), Graph.cycle(4)
@@ -435,6 +462,7 @@ def test_canonical_matches_reference_on_symmetric_graphs():
         _disjoint_union(c3, c4, Graph.cycle(5)),
         _disjoint_union(Graph.cycle(6), c3, c3),
         _disjoint_union(Graph.complete(4), k33, Graph.complete(4)),
+        _chang(),
     ]
     for n in range(3, 13):
         specimens += [Graph.cycle(n), Graph.complete(n)]
