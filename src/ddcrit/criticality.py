@@ -17,7 +17,8 @@ would already count the other endpoint). The double domination number drops
 by at most two under one added edge (put u and v, or a neighbor of each, into
 a minimum set of G+uv), so walking the (gamma-2)-subsets and then the
 (gamma-1)-subsets of G finds gamma(G+uv) for every non-edge at once; a
-non-edge repaired by neither pass keeps gamma. The subsets are walked in
+non-edge repaired by neither pass keeps gamma. The subsets come from
+``domination.dds_walk`` with a slack of two deficient vertices, in
 ``itertools.combinations`` order, so the sets found for uv at its own size
 are exactly the minimum double dominating sets of G+uv, in lexicographic
 order, whenever the edge lowers the number.
@@ -30,7 +31,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .graphs import Graph, _bits, components, is_connected, min_degree
-from .domination import gamma_xk
+from .domination import dds_walk, gamma_xk
 
 PASS = "pass"
 FAIL = "fail"
@@ -60,20 +61,10 @@ def _lowered(g: Graph, gamma2: int) -> dict[tuple[int, int], tuple[int, tuple[in
     the minimum double dominating sets of G+uv, as masks in lexicographic
     order. Memoized: callers must not change the dict.
 
-    Walks the subsets of sizes gamma2-2 and gamma2-1 depth first in
-    lexicographic order. A branch is cut when some vertex can no longer be
-    covered, or more than two can no longer be covered twice, by the vertices
-    still to be chosen: such a set leaves a vertex no single edge repairs.
+    Reads the sets of sizes gamma2-2 and gamma2-1 that cover every vertex and
+    leave at most two covered once: a set that leaves more, or misses a
+    vertex, leaves a vertex no single edge repairs.
     """
-    n = g.n
-    full = (1 << n) - 1
-    closed = [row | (1 << v) for v, row in enumerate(g.rows)]
-    # vertices covered at least once / at least twice by the vertices i..n-1
-    once = [0] * (n + 1)
-    twice = [0] * (n + 1)
-    for x in range(n - 1, -1, -1):
-        twice[x] = twice[x + 1] | (once[x + 1] & closed[x])
-        once[x] = once[x + 1] | closed[x]
     lowered: dict[tuple[int, int], tuple[int, list[int]]] = {}
 
     def repaired(chosen: int, u: int, v: int) -> None:
@@ -81,30 +72,14 @@ def _lowered(g: Graph, gamma2: int) -> dict[tuple[int, int], tuple[int, tuple[in
         if size == chosen.bit_count():  # a pair lowered by two keeps only its smaller sets
             sets.append(chosen)
 
-    def walk(start: int, left: int, chosen: int, ge1: int, ge2: int) -> None:
-        if left == 0:
-            if ge1 != full:  # a vertex the set misses is short by two
-                return
-            short = full & ~ge2
+    for size in (gamma2 - 2, gamma2 - 1):
+        for chosen, short in dds_walk(g, size, 2):
             if short and short & (short - 1) == 0:
                 u = short.bit_length() - 1
-                for v in _bits(chosen & ~closed[u]):
+                for v in _bits(chosen & ~(g.rows[u] | 1 << u)):
                     repaired(chosen, u, v)
             elif short.bit_count() == 2 and short & chosen == short:
                 repaired(chosen, (short & -short).bit_length() - 1, short.bit_length() - 1)
-            return
-        if ge1 | once[start] != full:
-            return
-        reach2 = ge2 | (ge1 & once[start]) | (twice[start] if left > 1 else 0)
-        if (full & ~reach2).bit_count() > 2:
-            return
-        for x in range(start, n - left + 1):
-            row = closed[x]
-            walk(x + 1, left - 1, chosen | 1 << x, ge1 | row, ge2 | (ge1 & row))
-
-    for size in (gamma2 - 2, gamma2 - 1):
-        if size >= 0:
-            walk(0, size, 0, 0, 0)
     return {pair: (size, tuple(sets)) for pair, (size, sets) in lowered.items()}
 
 

@@ -1,5 +1,5 @@
-"""Exact k-tuple domination: feasibility, minimum solutions, full enumeration,
-and a bounded test of whether three vertices double dominate.
+"""Exact k-tuple domination: feasibility and minimum solutions, plus one
+walker over the vertex sets of a given size that double dominate, or nearly.
 
 A set S k-tuple dominates when every closed neighborhood meets S at least k
 times. Such a set exists iff the minimum degree is at least k-1; that case is
@@ -9,9 +9,8 @@ size.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graphs import Graph, _bits, min_degree
 
@@ -124,57 +123,70 @@ def gamma_xk(g: Graph, k: int) -> GammaResult:
     return GammaResult(k, True, best_size, _witness(g, k, best_mask))
 
 
-def gamma2_at_most_3(g: Graph) -> bool:
-    """Does some set of at most 3 vertices double dominate g?
+def dds_walk(g: Graph, size: int, slack: int = 0) -> Iterator[tuple[int, int]]:
+    """The size-sets that cover every vertex of g and leave at most ``slack``
+    vertices covered once, as (set mask, mask of those vertices), in
+    lexicographic order; with slack 0, the double dominating sets of that size.
 
-    A superset of a double dominating set is one, so only sets of size
-    min(3, n) are walked, in lexicographic order, with the once/twice
-    coverage of the vertices still to be chosen: a pair is cut when a vertex
-    covered fewer than twice can no longer get its missing cover from one
-    later vertex, and a first vertex when some vertex cannot be covered twice
-    by it and two later ones.
+    A branch is cut when the vertices after it can no longer cover some vertex
+    once, or all but ``slack`` twice. The last two vertices of a set are tried
+    in one loop.
     """
     n = g.n
-    if n < 3:  # of K1, 2K1 and K2 only K2 has one, its two vertices
-        return n == 2 and g.rows[0] == 2
     full = (1 << n) - 1
     closed = _closed_rows(g)
+    if size == 1:  # one vertex covers nothing twice
+        yield from ((1 << x, full) for x in range(n) if closed[x] == full and n <= slack)
+    if not 2 <= size <= n:
+        return
     # vertices covered at least once / at least twice by the vertices x..n-1
     once = [0] * (n + 1)
     twice = [0] * (n + 1)
     for x in range(n - 1, -1, -1):
         twice[x] = twice[x + 1] | (once[x + 1] & closed[x])
         once[x] = once[x + 1] | closed[x]
-    for a in range(n - 2):
-        ca = closed[a]
-        if (ca & once[a + 1]) | twice[a + 1] != full:
+    # (next vertex, vertices left, chosen, covered once, covered twice)
+    stack = [(0, size, 0, 0, 0)]
+    while stack:
+        start, left, chosen, ge1, ge2 = stack.pop()
+        if left > 2:
+            for x in range(start, n - left + 1):
+                row = closed[x]
+                one, two, rest = ge1 | row, ge2 | (ge1 & row), x + 1
+                reach = two | (one & once[rest]) | twice[rest]
+                if reach == full or slack and (full & ~reach).bit_count() <= slack and one | once[rest] == full:
+                    stack.append((rest, left, chosen, ge1, ge2))  # x's later siblings
+                    stack.append((rest, left - 1, chosen | 1 << x, one, two))
+                    break
             continue
-        for b in range(a + 1, n - 1):
-            ge1, ge2 = ca | closed[b], ca & closed[b]
-            if ge2 | (ge1 & once[b + 1]) != full:
+        for x in range(start, n - 1):
+            row = closed[x]
+            two = ge2 | (ge1 & row)
+            reach = two | ((ge1 | row) & once[x + 1])
+            # with no slack, reaching every vertex twice covers it once
+            if reach != full and not (
+                slack and (full & ~reach).bit_count() <= slack and ge1 | row | once[x + 1] == full
+            ):
                 continue
-            need = full & ~ge2  # each needs one more cover, from the third vertex
-            if any(need & ~closed[c] == 0 for c in range(b + 1, n)):
-                return True
-    return False
+            need, miss = full & ~two, full & ~(ge1 | row)  # the last vertex must cover miss
+            for y in range(x + 1, n):
+                row = closed[y]
+                short = need & ~row
+                if not short or slack and not miss & ~row and (short | miss).bit_count() <= slack:
+                    yield chosen | 1 << x | 1 << y, short | miss
+
+
+def dds_of_size(g: Graph, size: int) -> bool:
+    """Does some set of ``size`` vertices double dominate g?"""
+    return next(dds_walk(g, size), None) is not None
 
 
 def all_minimum_dds(g: Graph) -> list[frozenset]:
-    """Every minimum double dominating set, in lexicographic order.
-
-    Enumerates exactly the subsets of the optimal size, so the list is
-    complete by construction.
-    """
-    result = gamma_xk(g, 2)
-    if not result.feasible:
+    """Every minimum double dominating set, in lexicographic order: the sets
+    of the least size that has any."""
+    if min_degree(g) < 1:
         raise ValueError("no double dominating set exists: an isolated vertex is present")
-    size = result.size
-    closed = _closed_rows(g)
-    out = []
-    for combo in itertools.combinations(range(g.n), size):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        if all((closed[v] & mask).bit_count() >= 2 for v in range(g.n)):
-            out.append(frozenset(combo))
-    return out
+    for size in range(2, g.n + 1):  # the whole vertex set is one
+        found = [frozenset(_bits(mask)) for mask, _ in dds_walk(g, size)]
+        if found:
+            return found

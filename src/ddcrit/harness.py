@@ -7,9 +7,9 @@ check tests its hypotheses cheapest first (order, degree, claws and diameter
 before domination, connectivity before criticality, factor criticality and
 family membership last), so a campaign computes only what its own verdict
 reads and stops at the first hypothesis that fails. The checks ask only
-whether the double domination number is 4: a set of at most three vertices
-that double dominates answers no without the exact solver, which runs only
-when there is none (or the memo already holds the number). The theorem1
+whether the double domination number is 4, and answer it by walking the
+vertex sets of sizes 3 and 4 (or by reading the number, when the memo
+already holds it); the exact solver runs only for reports. The theorem1
 corpus is generated claw-free, so its memos start with that fact. Full
 property reports and verdicts are read from the same memo; with a report
 cache, the memo adopts the cached full report (computed once per class).
@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 from . import criticality as crit
 from .constructions import clique_chain, is_in_family_H
 from .criticality import FAIL, NOT_APPLICABLE, PASS
-from .domination import gamma2_at_most_3, gamma_xk
+from .domination import dds_of_size, gamma_xk
 from .enumeration import _levels, connected_graphs
 from .graphs import (
     Graph,
@@ -99,8 +99,8 @@ class GraphFacts:
 
     Attribute names match ``PropertyReport``. Factor criticality is read per
     deletion size through ``factor_verdict`` (witness included) or
-    ``factor_critical_at``. The checks ask ``gamma2_is_4()``, which solves
-    for ``gamma2`` only when it must. A cached full report is taken in
+    ``factor_critical_at``. The checks ask ``gamma2_is_4()``, which never
+    solves for ``gamma2``. A cached full report is taken in
     through ``adopt`` (see ``analyze``) instead of being computed.
     """
 
@@ -151,10 +151,12 @@ class GraphFacts:
         return gamma.size if gamma.feasible else None
 
     def gamma2_is_4(self) -> bool:
-        """Is the double domination number 4? Solved exactly only when no set
-        of at most three vertices double dominates and the memo lacks it."""
-        if "gamma2" not in self.__dict__ and gamma2_at_most_3(self.g):
-            return False
+        """Is the double domination number 4? Read from the memo, or decided
+        from the 3- and 4-sets and a yes kept as ``gamma2``."""
+        if "gamma2" not in self.__dict__:
+            if self.order < 4 or dds_of_size(self.g, 3) or not dds_of_size(self.g, 4):
+                return False
+            self.gamma2 = 4  # shadows the cached_property
         return self.gamma2 == 4
 
     @cached_property
@@ -453,28 +455,6 @@ def decode_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, Union[Graph, 
         yield index, text, decoded
 
 
-def _scan_one(
-    item: tuple[int, str, Union[Graph, Graph6Error]],
-    hypotheses: Hypotheses,
-    depth: str,
-    cache: Optional["ReportCache"],
-) -> Optional[dict]:
-    index, text, g = item
-    if isinstance(g, Graph6Error):
-        return {"input_index": index, "graph6": text, "error": str(g)}
-    facts = GraphFacts(g)
-    if not hypotheses.fast_pass(facts):
-        return None
-    if depth == "full" or hypotheses.needs_full():
-        # builds the full report, or adopts a cached one, into the memo
-        report = analyze(facts, "full", cache=cache)
-        if not hypotheses.full_pass(facts):
-            return None
-    if depth == "fast":
-        return {"input_index": index, "graph6": text, "report": analyze(facts, "fast").to_json_dict(), "verdicts": {}}
-    return {"input_index": index, "graph6": text, "report": report.to_json_dict(), "verdicts": compute_verdicts(facts)}
-
-
 def scan(
     lines: Iterable[str],
     hypotheses: Hypotheses = Hypotheses(),
@@ -489,10 +469,23 @@ def scan(
     """
     if depth not in ("fast", "full"):
         raise ValueError("depth must be 'fast' or 'full'")
-    for item in decode_lines(lines):
-        record = _scan_one(item, hypotheses, depth, cache)
-        if record is not None:
-            yield record
+    for index, text, g in decode_lines(lines):
+        if isinstance(g, Graph6Error):
+            yield {"input_index": index, "graph6": text, "error": str(g)}
+            continue
+        facts = GraphFacts(g)
+        if not hypotheses.fast_pass(facts):
+            continue
+        if depth == "full" or hypotheses.needs_full():
+            # builds the full report, or adopts a cached one, into the memo
+            report = analyze(facts, "full", cache=cache)
+            if not hypotheses.full_pass(facts):
+                continue
+        if depth == "fast":
+            report, verdicts = analyze(facts, "fast"), {}
+        else:
+            verdicts = compute_verdicts(facts)
+        yield {"input_index": index, "graph6": text, "report": report.to_json_dict(), "verdicts": verdicts}
 
 
 def record_to_json(record: dict) -> str:

@@ -17,7 +17,7 @@ from ddcrit.criticality import (
     Obs1Result,
     ProfileCheckResult,
 )
-from ddcrit.domination import all_minimum_dds, gamma_xk
+from ddcrit.domination import gamma_xk
 from ddcrit.enumeration import _claw_touching
 from ddcrit.graphs import (
     Graph,
@@ -62,6 +62,39 @@ def brute_min_k_tuple_size(g: Graph, k: int):
             if all((closed[v] & mask).bit_count() >= k for v in range(g.n)):
                 return size
     return None
+
+
+def brute_near_dds(g: Graph, size: int, slack: int) -> list[tuple[int, int]]:
+    """``domination.dds_walk`` by ``itertools.combinations``: each size-set
+    covering every vertex, with at most ``slack`` vertices covered once, as
+    (set mask, mask of the vertices covered once)."""
+    closed = [g.rows[v] | (1 << v) for v in range(g.n)]
+    out = []
+    for combo in itertools.combinations(range(g.n), size):
+        mask = sum(1 << v for v in combo)
+        counts = [(closed[v] & mask).bit_count() for v in range(g.n)]
+        short = sum(1 << v for v in range(g.n) if counts[v] == 1)
+        if min(counts) >= 1 and short.bit_count() <= slack:
+            out.append((mask, short))
+    return out
+
+
+def brute_all_minimum_dds(g: Graph) -> list[frozenset]:
+    """Every minimum double dominating set, in lexicographic order, by
+    enumerating the subsets of the solver's optimal size."""
+    result = gamma_xk(g, 2)
+    if not result.feasible:
+        raise ValueError("no double dominating set exists: an isolated vertex is present")
+    size = result.size
+    closed = [g.rows[v] | (1 << v) for v in range(g.n)]
+    out = []
+    for combo in itertools.combinations(range(g.n), size):
+        mask = 0
+        for v in combo:
+            mask |= 1 << v
+        if all((closed[v] & mask).bit_count() >= 2 for v in range(g.n)):
+            out.append(frozenset(combo))
+    return out
 
 
 def brute_independence_number(g: Graph) -> int:
@@ -411,12 +444,12 @@ def per_edge_criticality_report(g: Graph, gamma2=None):
 
 @lru_cache(maxsize=None)
 def per_augmentation_minimum_sets(g: Graph) -> dict:
-    """``all_minimum_dds`` of G+uv for every non-edge uv, memoized on the graph."""
-    return {(u, v): all_minimum_dds(add_edge(g, u, v)) for u, v in g.non_edges()}
+    """``brute_all_minimum_dds`` of G+uv for every non-edge uv, memoized on the graph."""
+    return {(u, v): brute_all_minimum_dds(add_edge(g, u, v)) for u, v in g.non_edges()}
 
 
 def per_augmentation_observation1(g: Graph, report=None):
-    """Observation 1 checked over ``all_minimum_dds`` of every augmentation."""
+    """Observation 1 checked over ``brute_all_minimum_dds`` of every augmentation."""
     if report is None:
         report = per_edge_criticality_report(g)
     if not report.is_critical:
@@ -430,7 +463,7 @@ def per_augmentation_observation1(g: Graph, report=None):
 
 
 def per_augmentation_lemma45_profile(g: Graph, cut, x: int, y: int, report=None):
-    """The Lemma 4/5 profile checked over ``all_minimum_dds`` of G+xy."""
+    """The Lemma 4/5 profile checked over ``brute_all_minimum_dds`` of G+xy."""
     cut = frozenset(cut)
     if report is None:
         report = per_edge_criticality_report(g)

@@ -2,7 +2,9 @@
 output, and proof that expensive invariants run only where a verdict needs
 them."""
 
+import itertools
 import json
+import random
 
 import pytest
 
@@ -10,6 +12,7 @@ from ddcrit import constructions, harness
 from ddcrit import criticality as crit
 from ddcrit.cli import main
 from ddcrit.constructions import h_6t, h_r33, is_in_family_H
+from ddcrit.domination import gamma_xk
 from ddcrit.graphs import Graph, canonical_key, from_graph6, to_graph6
 from ddcrit.harness import (
     CHECKS,
@@ -114,10 +117,10 @@ def test_theorem1_skips_the_facts_its_corpus_already_has(tmp_path, monkeypatch, 
     solves = _count_calls(monkeypatch, "gamma_xk")
     summary = run_campaign("theorem1", default_corpus("theorem1", 9))
     assert (summary.examined, summary.passed, summary.not_applicable) == (1544, 18, 1526)
-    # the generator builds the corpus claw-free, and 1 431 of its graphs are
-    # double dominated by three vertices, so only gamma2 = 4 is solved exactly
+    # the generator builds the corpus claw-free, and gamma2 = 4 is decided by
+    # walking 3- and 4-sets, so the exact solver never runs
     assert claws == []
-    assert len(solves) == 113 and {k for _, k in solves} == {2}
+    assert solves == []
     # graphs read from a file are claw-tested, and h_6t stops at its claw
     path = tmp_path / "corpus.g6"
     path.write_text(to_graph6(h_6t(3)) + "\n")
@@ -128,14 +131,31 @@ def test_theorem1_skips_the_facts_its_corpus_already_has(tmp_path, monkeypatch, 
 
 
 def test_checks_read_a_gamma2_the_memo_holds(monkeypatch):
-    bounded = _count_calls(monkeypatch, "gamma2_at_most_3")
+    bounded = _count_calls(monkeypatch, "dds_of_size")
     for g in (h_r33(3), Graph.complete(9), from_graph6(NOT_CRITICAL)):
         facts = GraphFacts(g)
         analyze(facts, "full")
         compute_verdicts(facts)
     assert bounded == []
     assert GraphFacts(Graph.complete(9)).gamma2_is_4() is False
-    assert bounded == [(to_graph6(Graph.complete(9)),)]
+    assert bounded == [(to_graph6(Graph.complete(9)), 3)]
+
+
+def test_gamma2_is_4_matches_the_solver(graphs_by_n, monkeypatch):
+    solves = _count_calls(monkeypatch, "gamma_xk")
+    graphs = [g for n in range(1, 9) for g in graphs_by_n[n]]
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(9, 16)
+        p = rng.choice((0.3, 0.5, 0.7, 0.85))
+        graphs.append(Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    for g in graphs:
+        facts = GraphFacts(g)
+        answer = facts.gamma2_is_4()
+        assert answer == (gamma_xk(g, 2).size == 4), to_graph6(g)
+        # a yes is kept for criticality to read
+        assert ("gamma2" in facts.__dict__) == answer
+    assert solves == []
 
 
 def test_criticality_reuses_the_memos_gamma2(monkeypatch):

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from ddcrit.domination import all_minimum_dds, gamma2_at_most_3, gamma_xk, is_k_tuple_dominating
+from ddcrit.domination import all_minimum_dds, dds_of_size, dds_walk, gamma_xk, is_k_tuple_dominating
 from ddcrit.graphs import Graph, add_edge, is_connected
 from ddcrit.constructions import h_r33
-from oracles import brute_min_k_tuple_size
+from oracles import brute_all_minimum_dds, brute_min_k_tuple_size, brute_near_dds
 
 
 def test_is_k_tuple_dominating():
@@ -106,7 +106,7 @@ def test_all_minimum_dds_examples():
 
 
 def test_all_minimum_dds_complete_and_minimum(graphs_small):
-    for g in graphs_small[5]:
+    for g in (g for n in range(1, 8) for g in graphs_small[n]):
         if gamma_xk(g, 2).feasible:
             size = gamma_xk(g, 2).size
             found = all_minimum_dds(g)
@@ -117,6 +117,12 @@ def test_all_minimum_dds_complete_and_minimum(graphs_small):
             ]
             assert found == expected
             assert found  # the optimum itself is always present
+            assert found == brute_all_minimum_dds(g)  # the enumeration it replaced
+        else:
+            with pytest.raises(ValueError):
+                all_minimum_dds(g)
+            with pytest.raises(ValueError):
+                brute_all_minimum_dds(g)
 
 
 def test_solver_witness_on_family_graph():
@@ -126,21 +132,34 @@ def test_solver_witness_on_family_graph():
     assert is_k_tuple_dominating(g, result.witness.vertices, 2)
 
 
+def test_walker_matches_subset_brute_force(graphs_small):
+    for n in range(1, 8):
+        for g in graphs_small[n]:
+            for size in range(n + 1):
+                for slack in (0, 1, 2):
+                    assert list(dds_walk(g, size, slack)) == brute_near_dds(g, size, slack), (g, size, slack)
+
+
 def _at_most_3_by_solver(g):
     result = gamma_xk(g, 2)
     return result.feasible and result.size <= 3
 
 
+def _at_most_3(g):
+    # a superset of a double dominating set is one
+    return dds_of_size(g, min(3, g.n))
+
+
 def test_three_vertex_test_matches_the_solver(graphs_by_n):
     for n in range(1, 9):
         for g in graphs_by_n[n]:
-            assert gamma2_at_most_3(g) == _at_most_3_by_solver(g)
+            assert _at_most_3(g) == _at_most_3_by_solver(g)
     rng = random.Random(31)
     for _ in range(300):
         n = rng.randint(9, 16)
         p = rng.choice((0.3, 0.5, 0.7, 0.85))
         g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
-        assert gamma2_at_most_3(g) == _at_most_3_by_solver(g)
+        assert _at_most_3(g) == _at_most_3_by_solver(g)
 
 
 def test_three_vertex_test_on_tiny_graphs_and_isolated_vertices():
@@ -155,8 +174,8 @@ def test_three_vertex_test_on_tiny_graphs_and_isolated_vertices():
         Graph.path(3): True,
         Graph.complete(3): True,
     }
-    assert {g: gamma2_at_most_3(g) for g in tiny} == tiny
+    assert {g: _at_most_3(g) for g in tiny} == tiny
     for n in range(2, 12):
         # K_{n-1} plus an isolated vertex has no double dominating set
         g = Graph.from_edges(n, itertools.combinations(range(n - 1), 2))
-        assert not gamma2_at_most_3(g) and not gamma_xk(g, 2).feasible
+        assert not _at_most_3(g) and not gamma_xk(g, 2).feasible
