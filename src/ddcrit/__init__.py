@@ -10,20 +10,15 @@ over immutable values.
 from .graphs import (
     Graph,
     Graph6Error,
-    IsoCertificate,
     add_edge,
     canonical_key,
-    closed_neighborhood,
-    complement,
     components,
     diameter,
     from_graph6,
     independence_number,
     is_connected,
-    is_isomorphic,
     is_k1r_free,
     min_degree,
-    odd_component_count,
     to_graph6,
     vertex_connectivity,
 )

@@ -1,40 +1,45 @@
 """Built-in isomorph-free enumeration of small graphs.
 
 :func:`enumerate_graphs` grows graphs one vertex at a time: every class on
-k+1 vertices arises from some class on k vertices by attaching a new vertex
-with some neighborhood, because deleting any vertex of the bigger graph lands
-in the smaller level. Candidates are deduplicated per level by canonical key.
+k+1 vertices arises from some class on k vertices by attaching a new vertex,
+because deleting any vertex lands in the smaller level. Children are
+deduplicated per level by canonical key.
 
-The augmentation generator accepts two sound prunes:
+Two sound prunes:
 
 * ``claw_free``: induced subgraphs of claw-free graphs are claw-free, so a
-  level-k graph with a claw has no claw-free descendant. Candidates are
-  pre-screened by looking only at claws touching the new vertex.
+  graph with a claw has no claw-free descendant. Only claws touching the new
+  vertex are looked for.
 * ``final_min_degree`` d with target order n: deleting n-k vertices lowers a
-  degree by at most n-k, so any ancestor of a final graph with minimum degree
-  d satisfies deg(v) + (n-k) >= d at level k. States failing that are dead.
+  degree by at most n-k, so every ancestor at level k has minimum degree at
+  least d-(n-k).
 
-Before canonical labeling, a child is dropped when its new vertex's
-invariant, (degree, sum of neighbor degrees), is below the maximum over its
-vertices. Both prunes survive deleting any vertex, so every class on k+1
-vertices has a vertex v of maximal invariant whose deletion lands on a stored
-class; extending that class by the neighborhood of v gives a child the filter
-keeps, and the output is unchanged while most children skip labeling.
+Before labeling, a child is dropped when its new vertex's invariant,
+(degree, sum of neighbor degrees), is below the maximum over its vertices.
+Both prunes survive deleting any vertex, so every class has a vertex of
+maximal invariant whose deletion lands on a stored class, and extending that
+class by its neighborhood gives a child the filter keeps.
 
-Children are not drawn from all 2^k neighborhoods: only those meeting the
-degree floor with a new vertex of largest degree are built, i.e. supersets of
-the parent's below-floor vertices whose size t reaches both the floor and the
-parent's maximum degree, leaving out vertices already of degree t (a parent
-with a vertex two below the floor has no child). Only the vertices whose
-degree ties the new vertex's are compared, and their neighbor-degree sums
-come from the parent's, computed once per parent: attaching a new vertex
-with neighborhood N of size t adds popcount(row & N) to a vertex's sum, and
-t more when the vertex is in N, while the new vertex's sum is t plus the
-parent degrees over N. Rows are built only for children that pass, and the
-stored canonical rows skip ``Graph``'s validation, since they are a
-relabeling of rows built from valid ones.
+Only neighborhoods that meet the degree floor and give the new vertex the
+largest degree are built: supersets of the parent's below-floor vertices, of
+a size t that reaches the floor and the parent's maximum degree, leaving out
+vertices already of degree t (a parent with a vertex two below the floor has
+no child). Only vertices whose degree ties the new vertex's are compared, by
+sums from the parent's: a new vertex with neighborhood N of size t adds
+popcount(row & N) to a vertex's sum, and t more when the vertex is in N,
+while its own sum is t plus the parent degrees over N.
 
-Results are sorted by canonical key, so output order is deterministic.
+Siblings are then deduplicated by the parent's automorphisms. For an
+automorphism s of the parent, N and s(N) give isomorphic children (s fixing
+the new vertex), on which the filter and the claw test agree, so only the
+least mask of each orbit is kept; a subgroup would only keep more. The
+generators are those ``_canonical`` found when it labeled the parent, stored
+per class in canonical labels, all in one ``bytes``, where the group is
+nontrivial and a next level extends the class.
+
+Rows are built only for children that pass, and the stored canonical rows
+skip ``Graph``'s validation. Levels are sorted by canonical code, so output
+order is deterministic.
 """
 
 from __future__ import annotations
@@ -63,14 +68,17 @@ def _claw_touching(rows: list[int], v: int) -> bool:
     return False
 
 
-def _extensions(parent: Graph, claw_free: bool, degree_floor: int):
-    """Adjacency rows of the children whose new vertex has a maximal invariant."""
+def _extensions(parent: Graph, claw_free: bool, degree_floor: int, gens: bytes = b""):
+    """Adjacency rows of the children whose new vertex has a maximal invariant,
+    one per orbit of neighborhoods under the group generated by ``gens``, the
+    images of the parent's vertices under each generator in turn."""
     k = parent.n
     new_bit = 1 << k
     prows = parent.rows
     degrees = [r.bit_count() for r in prows]
     if min(degrees) < degree_floor - 1:
         return
+    images = [[1 << x for x in gens[i : i + k]] for i in range(0, len(gens), k)]
     # each vertex's sum of neighbor degrees in the parent, from which every
     # child's sums follow (see the module docstring)
     sums = [sum(degrees[u] for u in _bits(r)) for r in prows]
@@ -97,7 +105,7 @@ def _extensions(parent: Graph, claw_free: bool, degree_floor: int):
                 if sums[u] + (prows[u] & nbhd).bit_count() + (t if nbhd & low else 0) > new_sum:
                     break
                 tied ^= low
-            if tied:
+            if tied or images and not _least_in_orbit(nbhd, images):
                 continue
             rows = forced_rows.copy()
             for v, _, _ in extra:
@@ -108,18 +116,49 @@ def _extensions(parent: Graph, claw_free: bool, degree_floor: int):
             yield tuple(rows)
 
 
+def _least_in_orbit(mask: int, images: list[list[int]]) -> bool:
+    """Is ``mask`` least in its orbit? ``images[i][v]`` is 1 << (image of v
+    under the i-th generator)."""
+    orbit = {mask}
+    stack = [mask]
+    while stack:
+        m = stack.pop()
+        for image_of in images:
+            image = 0
+            rest = m
+            while rest:
+                low = rest & -rest
+                image |= image_of[low.bit_length() - 1]
+                rest ^= low
+            if image < mask:
+                return False
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return True
+
+
+def _in_labels(perm: tuple[int, ...], auts: list[list[int]]) -> bytes:
+    """Automorphisms of labeled rows as permutations of the labels ``perm``
+    gives, one after another: the image of each label in turn."""
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
+    return bytes(perm[sigma[v]] for sigma in auts for v in inv)
+
+
 def _levels(n: int, claw_free: bool, final_min_degree: Optional[int]) -> Iterator[list[Graph]]:
     level = [Graph.empty(1)]
+    groups = [b""]
     yield level
     for k in range(2, n + 1):
         floor = 0 if final_min_degree is None else final_min_degree - (n - k)
-        seen: dict[tuple[int, ...], Graph] = {}
-        for parent in level:
-            for rows in _extensions(parent, claw_free, floor):
-                code, _ = _canonical(rows, k)
+        seen: dict[tuple[int, ...], bytes] = {}
+        for parent, gens in zip(level, groups):
+            for rows in _extensions(parent, claw_free, floor, gens):
+                code, perm, auts = _canonical(rows, k)
                 if code not in seen:
-                    seen[code] = Graph._trusted(k, code)
-        level = [seen[code] for code in sorted(seen)]
+                    seen[code] = _in_labels(perm, auts) if auts and k < n else b""
+        level = [Graph._trusted(k, code) for code in sorted(seen)]
+        groups = [seen[g.rows] for g in level] if k < n else []
         yield level
 
 

@@ -236,30 +236,6 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple(~r & full & ~(1 << v) for v, r in enumerate(g.rows)))
-
-
-def relabel(g: Graph, perm) -> Graph:
-    """Apply a vertex permutation: vertex v of ``g`` becomes ``perm[v]``."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("not a permutation of the vertex range")
-    rows = [0] * g.n
-    for v, row in enumerate(g.rows):
-        m = 0
-        for u in _bits(row):
-            m |= 1 << perm[u]
-        rows[perm[v]] = m
-    return Graph(g.n, tuple(rows))
-
-
-def closed_neighborhood(g: Graph, v: int) -> frozenset:
-    g.check_vertex(v)
-    return frozenset(_bits(g.rows[v] | (1 << v)))
-
-
 def min_degree(g: Graph) -> int:
     return min(r.bit_count() for r in g.rows)
 
@@ -298,11 +274,6 @@ def components(g: Graph, removed=frozenset()) -> list[frozenset]:
 
 def is_connected(g: Graph) -> bool:
     return len(_component_masks(g)) == 1
-
-
-def odd_component_count(g: Graph, removed=frozenset()) -> int:
-    removed_mask = _vertex_mask(g, removed)
-    return sum(1 for m in _component_masks(g, removed_mask) if m.bit_count() % 2)
 
 
 def _bfs_distances(g: Graph, source: int) -> list[int]:
@@ -468,7 +439,7 @@ def independence_number(g: Graph) -> tuple[int, frozenset]:
     return best_size, frozenset(_bits(best_mask))
 
 
-# -- canonical labeling and isomorphism --------------------------------------
+# -- canonical labeling -------------------------------------------------------
 
 
 def _refine(rows: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
@@ -529,16 +500,17 @@ def _refine(rows: tuple[int, ...], cells: list[int], splitters: list[int]) -> li
     return cells
 
 
-def _canonical(rows: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Canonical adjacency rows plus a permutation achieving them.
+def _canonical(rows: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
+    """Canonical adjacency rows, a permutation achieving them, and automorphisms.
 
     Backtracks over equitable partitions, individualizing each vertex of the
     first smallest non-singleton cell in ascending order, and returns the
     lexicographically least relabeled adjacency with the permutation of the
-    first leaf, in that search order, that gives it. Both are functions of
-    the whole search tree, and the tree is invariant under automorphisms, so
-    the search may skip any subtree that is an automorphism's image of one
-    searched earlier. It does so three ways, and each keeps the result:
+    first leaf, in that search order, that gives it (``perm[v]`` is the
+    label of vertex v). Both are functions of the whole search tree, and the
+    tree is invariant under automorphisms, so the search may skip any subtree
+    that is an automorphism's image of one searched earlier. It does so three
+    ways, and each keeps the result:
 
     - A child starts from its parent's cells with the individualized vertex
       ``{v}`` as the only splitter. The parent is equitable, so each cell's
@@ -555,6 +527,10 @@ def _canonical(rows: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[in
       the child where the paths part onto the best leaf's earlier sibling,
       so the search backs up to that depth: the rest of the abandoned
       subtree holds no smaller code and no earlier leaf with the best code.
+
+    The third value is the list of automorphisms of ``rows`` the equal
+    leaves gave, each a list mapping every vertex to its image; none is the
+    identity, and on every graph the tests try they generate the whole group.
 
     The codes depend on the order of the cells ``_refine`` returns, so a
     faster refinement must keep that order, not just the partition.
@@ -644,39 +620,9 @@ def _canonical(rows: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[in
         return None
 
     search(_refine(rows, [(1 << n) - 1], [(1 << n) - 1]), ())
-    return tuple(best_code), best_perm
+    return tuple(best_code), best_perm, auts
 
 
 def canonical_key(g: Graph) -> bytes:
     """Isomorphism-invariant key: the graph6 line of the canonical relabeling."""
-    code, _ = _canonical(g.rows, g.n)
-    return _graph6(g.n, code)
-
-
-@dataclass(frozen=True, slots=True)
-class IsoCertificate:
-    """Vertex bijection witnessing an isomorphism, or ``None`` when there is none."""
-
-    mapping: Optional[tuple[int, ...]]
-
-    def __bool__(self) -> bool:
-        return self.mapping is not None
-
-
-def is_isomorphic(g: Graph, h: Graph) -> IsoCertificate:
-    """Certificate-producing isomorphism test; the mapping is verified edge-exactly."""
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return IsoCertificate(None)
-    code_g, perm_g = _canonical(g.rows, g.n)
-    code_h, perm_h = _canonical(h.rows, h.n)
-    if code_g != code_h:
-        return IsoCertificate(None)
-    inv_h = [0] * h.n
-    for v, p in enumerate(perm_h):
-        inv_h[p] = v
-    mapping = tuple(inv_h[perm_g[v]] for v in range(g.n))
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.adjacent(u, v) != h.adjacent(mapping[u], mapping[v]):
-                raise RuntimeError("canonical labeling produced a non-isomorphism")
-    return IsoCertificate(mapping)
+    return _graph6(g.n, _canonical(g.rows, g.n)[0])

@@ -6,7 +6,9 @@ tiny graphs.
 """
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 from ddcrit.criticality import (
     FAIL,
@@ -18,13 +20,14 @@ from ddcrit.criticality import (
     ProfileCheckResult,
 )
 from ddcrit.domination import gamma_xk
-from ddcrit.enumeration import _claw_touching
+from ddcrit.enumeration import _claw_touching, _extensions
 from ddcrit.graphs import (
     Graph,
     _bits,
     _canonical,
     _component_masks,
     _refine,
+    _vertex_mask,
     add_edge,
     canonical_key,
     components,
@@ -225,11 +228,63 @@ def unpruned_levels(n: int, claw_free: bool = False, final_min_degree=None):
                     continue
                 if claw_free and _claw_touching(rows, parent.n):
                     continue
-                code, _ = _canonical(tuple(rows), k)
+                code = _canonical(tuple(rows), k)[0]
                 if code not in seen:
                     seen[code] = Graph(k, code)
         level = [seen[code] for code in sorted(seen)]
         yield level
+
+
+def orbitless_levels(n: int, claw_free: bool, final_min_degree=None):
+    """``enumeration._levels`` before siblings were deduplicated by the
+    parent's automorphisms: every child ``_extensions`` yields is labeled."""
+    level = [Graph.empty(1)]
+    yield level
+    for k in range(2, n + 1):
+        floor = 0 if final_min_degree is None else final_min_degree - (n - k)
+        seen: dict[tuple[int, ...], Graph] = {}
+        for parent in level:
+            for rows in _extensions(parent, claw_free, floor):
+                code = _canonical(rows, k)[0]
+                if code not in seen:
+                    seen[code] = Graph._trusted(k, code)
+        level = [seen[code] for code in sorted(seen)]
+        yield level
+
+
+def brute_automorphisms(rows, n: int) -> set[tuple[int, ...]]:
+    """Every automorphism of the rows, as a tuple of images, by backtracking
+    over degree-preserving maps that keep adjacency to the vertices mapped."""
+    out = set()
+    image = [0] * n
+
+    def extend(v: int, used: int):
+        if v == n:
+            out.add(tuple(image))
+            return
+        for w in range(n):
+            if used >> w & 1 or rows[w].bit_count() != rows[v].bit_count():
+                continue
+            if all((rows[v] >> u & 1) == (rows[w] >> image[u] & 1) for u in range(v)):
+                image[v] = w
+                extend(v + 1, used | 1 << w)
+
+    extend(0, 0)
+    return out
+
+
+def generated_group(gens, n: int) -> set[tuple[int, ...]]:
+    """Every product of the permutations, the identity included."""
+    group = {tuple(range(n))}
+    stack = list(group)
+    while stack:
+        p = stack.pop()
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return group
 
 
 def full_signature_refine(rows, n: int, colors: list[int]) -> list[int]:
@@ -624,3 +679,64 @@ def all_pairs_vertex_connectivity(g: Graph) -> int:
             if best == 0:
                 return 0
     return best
+
+
+# -- library names with no production caller, kept for the tests ------------
+
+
+def complement(g: Graph) -> Graph:
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(~r & full & ~(1 << v) for v, r in enumerate(g.rows)))
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Apply a vertex permutation: vertex v of ``g`` becomes ``perm[v]``."""
+    perm = tuple(perm)
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("not a permutation of the vertex range")
+    rows = [0] * g.n
+    for v, row in enumerate(g.rows):
+        m = 0
+        for u in _bits(row):
+            m |= 1 << perm[u]
+        rows[perm[v]] = m
+    return Graph(g.n, tuple(rows))
+
+
+def closed_neighborhood(g: Graph, v: int) -> frozenset:
+    g.check_vertex(v)
+    return frozenset(_bits(g.rows[v] | (1 << v)))
+
+
+def odd_component_count(g: Graph, removed=frozenset()) -> int:
+    removed_mask = _vertex_mask(g, removed)
+    return sum(1 for m in _component_masks(g, removed_mask) if m.bit_count() % 2)
+
+
+@dataclass(frozen=True, slots=True)
+class IsoCertificate:
+    """Vertex bijection witnessing an isomorphism, or ``None`` when there is none."""
+
+    mapping: Optional[tuple[int, ...]]
+
+    def __bool__(self) -> bool:
+        return self.mapping is not None
+
+
+def is_isomorphic(g: Graph, h: Graph) -> IsoCertificate:
+    """Certificate-producing isomorphism test; the mapping is verified edge-exactly."""
+    if g.n != h.n or g.edge_count() != h.edge_count():
+        return IsoCertificate(None)
+    code_g, perm_g, _ = _canonical(g.rows, g.n)
+    code_h, perm_h, _ = _canonical(h.rows, h.n)
+    if code_g != code_h:
+        return IsoCertificate(None)
+    inv_h = [0] * h.n
+    for v, p in enumerate(perm_h):
+        inv_h[p] = v
+    mapping = tuple(inv_h[perm_g[v]] for v in range(g.n))
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.adjacent(u, v) != h.adjacent(mapping[u], mapping[v]):
+                raise RuntimeError("canonical labeling produced a non-isomorphism")
+    return IsoCertificate(mapping)

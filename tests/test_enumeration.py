@@ -6,17 +6,29 @@ import pytest
 from ddcrit import enumeration
 from ddcrit.enumeration import (
     _extensions,
+    _in_labels,
     _levels,
     connected_graphs,
     enumerate_graphs,
     graphs_upto,
 )
-from ddcrit.graphs import Graph, canonical_key, is_connected, is_k1r_free, min_degree, relabel, to_graph6
-from oracles import all_extensions, naive_all_graphs, summed_extensions, unpruned_levels, vertex_invariants
+from ddcrit.graphs import Graph, _canonical, canonical_key, is_connected, is_k1r_free, min_degree, to_graph6
+from oracles import (
+    all_extensions,
+    brute_automorphisms,
+    naive_all_graphs,
+    orbitless_levels,
+    relabel,
+    summed_extensions,
+    unpruned_levels,
+    vertex_invariants,
+)
 
 # class counts per order, cross-checked between the two generators below
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+# connected claw-free graphs, OEIS A022562
+CONNECTED_CLAW_FREE_COUNTS = [1, 1, 2, 5, 14, 50, 191, 881, 4494]
 
 
 @pytest.fixture(scope="module")
@@ -145,12 +157,53 @@ def test_generated_theorem1_corpus_is_claw_free_with_min_degree_4():
 
 def test_labelings_per_level_are_pinned(monkeypatch):
     calls = collections.Counter()
-    original = enumeration._canonical
+    stored = collections.Counter()
+    original, original_in_labels = enumeration._canonical, enumeration._in_labels
 
     def counted(rows, n):
         calls[n] += 1
         return original(rows, n)
 
+    def counted_in_labels(perm, auts):
+        stored[len(perm)] += 1
+        return original_in_labels(perm, auts)
+
     monkeypatch.setattr(enumeration, "_canonical", counted)
+    monkeypatch.setattr(enumeration, "_in_labels", counted_in_labels)
     enumerate_graphs(9, claw_free=True, final_min_degree=4)
-    assert [calls[k] for k in range(2, 10)] == [2, 5, 15, 52, 101, 291, 693, 2653]
+    assert [calls[k] for k in range(2, 10)] == [2, 4, 10, 26, 60, 151, 447, 1724]
+    # generators are stored for the classes with a nontrivial group, and
+    # none at the last level, which no level extends
+    assert [stored[k] for k in range(2, 10)] == [2, 4, 10, 26, 57, 136, 379, 0]
+
+
+def test_siblings_are_one_per_orbit_of_the_parent_group(graphs_small):
+    for n in range(1, 8):
+        for parent in graphs_small[n]:
+            code, perm, auts = _canonical(parent.rows, n)
+            assert code == parent.rows
+            group = brute_automorphisms(code, n)
+            for claw_free in (False, True):
+                expected = [
+                    rows
+                    for rows in _extensions(parent, claw_free, 0)
+                    if all(sum(1 << sigma[v] for v in range(n) if rows[-1] >> v & 1) >= rows[-1] for sigma in group)
+                ]
+                assert list(_extensions(parent, claw_free, 0, _in_labels(perm, auts))) == expected
+
+
+@pytest.fixture(scope="module")
+def claw_free_levels():
+    return list(_levels(9, True, None))
+
+
+def test_levels_match_orbitless_oracle(graphs_by_n, claw_free_levels):
+    assert [graphs_by_n[n] for n in range(1, 9)] == list(orbitless_levels(8, False))
+    assert claw_free_levels == list(orbitless_levels(9, True))
+    for degree in (3, 4):
+        for n in range(1, 10):
+            assert list(_levels(n, True, degree)) == list(orbitless_levels(n, True, degree))
+
+
+def test_connected_claw_free_counts_match_oeis(claw_free_levels):
+    assert [sum(map(is_connected, level)) for level in claw_free_levels] == CONNECTED_CLAW_FREE_COUNTS

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ddcrit.constructions import clique_chain, h_6t, h_r33
+from ddcrit.enumeration import _in_labels
 from ddcrit.graphs import (
     Graph,
     Graph6Error,
@@ -10,27 +11,29 @@ from ddcrit.graphs import (
     _path_count,
     add_edge,
     canonical_key,
-    closed_neighborhood,
-    complement,
     components,
     diameter,
     from_graph6,
     independence_number,
     is_connected,
-    is_isomorphic,
     is_k1r_free,
     min_degree,
-    odd_component_count,
-    relabel,
     to_graph6,
     vertex_connectivity,
 )
 from oracles import (
     all_pairs_vertex_connectivity,
+    brute_automorphisms,
     brute_independence_number,
+    closed_neighborhood,
+    complement,
     equitable_refine,
     full_signature_refine,
+    generated_group,
+    is_isomorphic,
+    odd_component_count,
     reference_canonical,
+    relabel,
     unit_flow,
 )
 
@@ -387,7 +390,14 @@ def test_canonical_keys_are_pinned():
 
 
 def _assert_canonical_matches_reference(rows, n):
-    assert _canonical(rows, n) == reference_canonical(rows, n)
+    code, perm, auts = _canonical(rows, n)
+    assert (code, perm) == reference_canonical(rows, n)
+    # the automorphisms found, in canonical labels, fix the canonical rows
+    canonical = Graph(n, code)
+    gens = _in_labels(perm, auts)
+    assert len(gens) == n * len(auts)
+    for i in range(0, len(gens), n):
+        assert relabel(canonical, gens[i : i + n]) == canonical
 
 
 def test_canonical_matches_reference_on_every_class_upto_8(graphs_by_n):
@@ -406,6 +416,19 @@ def test_canonical_matches_reference_on_random_graphs():
         p = rng.random()
         g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         _assert_canonical_matches_reference(g.rows, n)
+
+
+def test_automorphisms_found_generate_the_whole_group(graphs_small):
+    # the enumerator drops a child whose neighborhood some automorphism of
+    # its parent maps lower; with too few generators it only drops fewer
+    rng = random.Random(31)
+    for n in range(1, 8):
+        for g in graphs_small[n]:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            _, _, auts = _canonical(h.rows, n)
+            assert generated_group(auts, n) == brute_automorphisms(h.rows, n)
 
 
 def _disjoint_union(*parts):
