@@ -23,13 +23,7 @@ from .graphs import (
     vertex_connectivity,
 )
 from .domination import DdsWitness, GammaResult, all_minimum_dds, gamma_xk, is_k_tuple_dominating
-from .matching import (
-    FactorCriticalityVerdict,
-    ParityError,
-    has_perfect_matching,
-    is_k_factor_critical_direct,
-    maximum_matching,
-)
+from .matching import FactorCriticalityVerdict, ParityError, is_k_factor_critical_direct
 from .criticality import (
     CriticalityReport,
     check_lemma45_profile,

@@ -177,8 +177,22 @@ def dds_walk(g: Graph, size: int, slack: int = 0) -> Iterator[tuple[int, int]]:
 
 
 def dds_of_size(g: Graph, size: int) -> bool:
-    """Does some set of ``size`` vertices double dominate g?"""
-    return next(dds_walk(g, size), None) is not None
+    """Does some set of ``size`` vertices double dominate g? {a, b, c} does
+    exactly when N[a] | N[b] is all and N[c] holds N[a] ^ N[b]; c may be last."""
+    if size != 3:
+        return next(dds_walk(g, size), None) is not None
+    n = g.n
+    full = (1 << n) - 1
+    closed = _closed_rows(g)
+    for a in range(n - 2):
+        row = closed[a]
+        for b in range(a + 1, n - 1):
+            if row | closed[b] == full:
+                odd = row ^ closed[b]
+                for c in range(b + 1, n):
+                    if closed[c] & odd == odd:
+                        return True
+    return False
 
 
 def all_minimum_dds(g: Graph) -> list[frozenset]:

@@ -1,45 +1,30 @@
 """Built-in isomorph-free enumeration of small graphs.
 
 :func:`enumerate_graphs` grows graphs one vertex at a time: every class on
-k+1 vertices arises from some class on k vertices by attaching a new vertex,
-because deleting any vertex lands in the smaller level. Children are
-deduplicated per level by canonical key.
+k+1 vertices arises from a class on k vertices, by deleting any vertex. Two
+prunes survive that deletion: ``claw_free`` (only claws touching the new
+vertex are looked for), and ``final_min_degree`` d at target order n, as
+every ancestor at level k has minimum degree at least d-(n-k).
 
-Two sound prunes:
+A child is kept only when its new vertex has the maximal invariant,
+(degree, sum of neighbor degrees); every class has such a vertex, whose
+deletion lands on a stored class. Only neighborhoods N that meet the floor
+and give the new vertex the largest degree t are built, and only vertices of
+degree t compare sums, got from the parent's: N adds popcount(row & N) to a
+vertex's sum, and t more to a vertex in N.
 
-* ``claw_free``: induced subgraphs of claw-free graphs are claw-free, so a
-  graph with a claw has no claw-free descendant. Only claws touching the new
-  vertex are looked for.
-* ``final_min_degree`` d with target order n: deleting n-k vertices lowers a
-  degree by at most n-k, so every ancestor at level k has minimum degree at
-  least d-(n-k).
+Siblings are deduplicated by the parent's automorphisms: N and s(N) give
+isomorphic children, on which the filter and the claw test agree, so only
+the least mask of each orbit is kept. The generators are those
+``_canonical`` found labeling the parent, in canonical labels, in one
+``bytes``; they generate the whole group (see there).
 
-Before labeling, a child is dropped when its new vertex's invariant,
-(degree, sum of neighbor degrees), is below the maximum over its vertices.
-Both prunes survive deleting any vertex, so every class has a vertex of
-maximal invariant whose deletion lands on a stored class, and extending that
-class by its neighborhood gives a child the filter keeps.
-
-Only neighborhoods that meet the degree floor and give the new vertex the
-largest degree are built: supersets of the parent's below-floor vertices, of
-a size t that reaches the floor and the parent's maximum degree, leaving out
-vertices already of degree t (a parent with a vertex two below the floor has
-no child). Only vertices whose degree ties the new vertex's are compared, by
-sums from the parent's: a new vertex with neighborhood N of size t adds
-popcount(row & N) to a vertex's sum, and t more when the vertex is in N,
-while its own sum is t plus the parent degrees over N.
-
-Siblings are then deduplicated by the parent's automorphisms. For an
-automorphism s of the parent, N and s(N) give isomorphic children (s fixing
-the new vertex), on which the filter and the claw test agree, so only the
-least mask of each orbit is kept; a subgroup would only keep more. The
-generators are those ``_canonical`` found when it labeled the parent, stored
-per class in canonical labels, all in one ``bytes``, where the group is
-nontrivial and a next level extends the class.
-
-Rows are built only for children that pass, and the stored canonical rows
-skip ``Graph``'s validation. Levels are sorted by canonical code, so output
-order is deterministic.
+Other children are labeled and deduplicated per level by canonical code, and
+levels are sorted by it. At the last level, :func:`connected_graphs` labels
+only children whose maximum is tied. Tying is a property of the class, and
+an isomorphism of two untied children maps new vertex to new vertex, so it
+comes from an automorphism of one stored parent, which the orbit test rules
+out: each untied class arises once.
 """
 
 from __future__ import annotations
@@ -68,10 +53,11 @@ def _claw_touching(rows: list[int], v: int) -> bool:
     return False
 
 
-def _extensions(parent: Graph, claw_free: bool, degree_floor: int, gens: bytes = b""):
+def _extensions(parent: Graph, claw_free: bool, degree_floor: int, gens: bytes = b"", flagged: bool = False):
     """Adjacency rows of the children whose new vertex has a maximal invariant,
     one per orbit of neighborhoods under the group generated by ``gens``, the
-    images of the parent's vertices under each generator in turn."""
+    images of the parent's vertices under each generator in turn. ``flagged``
+    pairs each with whether that maximum is tied."""
     k = parent.n
     new_bit = 1 << k
     prows = parent.rows
@@ -99,11 +85,15 @@ def _extensions(parent: Graph, claw_free: bool, degree_floor: int, gens: bytes =
             # every tied vertex has the new vertex's degree, so compare sums;
             # a tied vertex left over has the larger one
             tied = (nbhd & tie_in) | tie_out
+            equal = False
             while tied:
                 low = tied & -tied
                 u = low.bit_length() - 1
-                if sums[u] + (prows[u] & nbhd).bit_count() + (t if nbhd & low else 0) > new_sum:
-                    break
+                s = sums[u] + (prows[u] & nbhd).bit_count() + (t if nbhd & low else 0)
+                if s >= new_sum:
+                    if s > new_sum:
+                        break
+                    equal = True
                 tied ^= low
             if tied or images and not _least_in_orbit(nbhd, images):
                 continue
@@ -113,7 +103,7 @@ def _extensions(parent: Graph, claw_free: bool, degree_floor: int, gens: bytes =
             rows.append(nbhd)
             if claw_free and _claw_touching(rows, k):
                 continue
-            yield tuple(rows)
+            yield (tuple(rows), equal) if flagged else tuple(rows)
 
 
 def _least_in_orbit(mask: int, images: list[list[int]]) -> bool:
@@ -145,21 +135,37 @@ def _in_labels(perm: tuple[int, ...], auts: list[list[int]]) -> bytes:
     return bytes(perm[sigma[v]] for sigma in auts for v in inv)
 
 
-def _levels(n: int, claw_free: bool, final_min_degree: Optional[int]) -> Iterator[list[Graph]]:
+def _levels(n: int, claw_free: bool, final_min_degree: Optional[int], canonical: bool = True) -> Iterator[list[Graph]]:
+    """Each level, sorted by canonical code; unless ``canonical``, the last
+    level starts with its untied children, unlabeled."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError("vertex count out of range")
     level = [Graph.empty(1)]
     groups = [b""]
     yield level
     for k in range(2, n + 1):
         floor = 0 if final_min_degree is None else final_min_degree - (n - k)
         seen: dict[tuple[int, ...], bytes] = {}
+        unlabeled: list[tuple[int, ...]] = []
         for parent, gens in zip(level, groups):
-            for rows in _extensions(parent, claw_free, floor, gens):
+            for rows, tied in _extensions(parent, claw_free, floor, gens, True):
+                if k == n and not (tied or canonical):
+                    unlabeled.append(rows)
+                    continue
                 code, perm, auts = _canonical(rows, k)
                 if code not in seen:
                     seen[code] = _in_labels(perm, auts) if auts and k < n else b""
-        level = [Graph._trusted(k, code) for code in sorted(seen)]
+        level = [Graph._trusted(k, rows) for rows in unlabeled + sorted(seen)]
         groups = [seen[g.rows] for g in level] if k < n else []
         yield level
+
+
+def _last_level(n: int, claw_free: bool, floor: Optional[int], connected: bool, canonical: bool) -> list[Graph]:
+    for out in _levels(n, claw_free, floor, canonical):
+        pass
+    if floor is not None:
+        out = [g for g in out if min(r.bit_count() for r in g.rows) >= floor]
+    return [g for g in out if is_connected(g)] if connected else out
 
 
 def enumerate_graphs(
@@ -169,29 +175,19 @@ def enumerate_graphs(
     final_min_degree: Optional[int] = None,
     connected: bool = False,
 ) -> list[Graph]:
-    """All graphs on n vertices up to isomorphism, optionally constrained.
-
-    With ``claw_free`` only claw-free graphs are produced (and the search
-    space collapses accordingly); with ``final_min_degree`` only graphs whose
-    minimum degree reaches that bound. ``connected`` filters the output.
-    """
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError("vertex count out of range")
-    for level in _levels(n, claw_free, final_min_degree):
-        out = level
-    if final_min_degree is not None:
-        out = [g for g in out if min(r.bit_count() for r in g.rows) >= final_min_degree]
-    if connected:
-        out = [g for g in out if is_connected(g)]
-    return out
+    """All graphs on n vertices up to isomorphism, in canonical form, sorted
+    by canonical code: only claw-free ones with ``claw_free``, only those of
+    minimum degree at least ``final_min_degree``, only connected ones with
+    ``connected``."""
+    return _last_level(n, claw_free, final_min_degree, connected, True)
 
 
 def graphs_upto(n: int, *, claw_free: bool = False) -> dict[int, list[Graph]]:
     """Every isomorphism class on 1..n vertices, grouped by order."""
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError("vertex count out of range")
-    return {k: level for k, level in enumerate(_levels(n, claw_free, None), start=1)}
+    return dict(enumerate(_levels(n, claw_free, None), start=1))
 
 
-def connected_graphs(n: int, **kwargs) -> list[Graph]:
-    return enumerate_graphs(n, connected=True, **kwargs)
+def connected_graphs(n: int, *, claw_free: bool = False, final_min_degree: Optional[int] = None) -> list[Graph]:
+    """The connected classes ``enumerate_graphs`` gives, one graph per class
+    in generation order, not necessarily in canonical form."""
+    return _last_level(n, claw_free, final_min_degree, True, False)

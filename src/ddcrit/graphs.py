@@ -115,14 +115,6 @@ class Graph:
         self.check_vertex(v)
         return bool((self.rows[u] >> v) & 1)
 
-    def degree(self, v: int) -> int:
-        self.check_vertex(v)
-        return self.rows[v].bit_count()
-
-    def neighbors(self, v: int) -> frozenset:
-        self.check_vertex(v)
-        return frozenset(_bits(self.rows[v]))
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in _bits(self.rows[u] >> (u + 1) << (u + 1))]
 
@@ -373,7 +365,7 @@ def vertex_connectivity(g: Graph) -> int:
     if g.n < 2:
         raise ValueError("vertex connectivity needs at least 2 vertices")
     rows = g.rows
-    best = min_degree(g)
+    best = min(r.bit_count() for r in rows)
     s = 0
     while s <= best:
         for t in _bits(((1 << g.n) - 1) & ~rows[s] & -(2 << s)):
@@ -530,7 +522,10 @@ def _canonical(rows: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[in
 
     The third value is the list of automorphisms of ``rows`` the equal
     leaves gave, each a list mapping every vertex to its image; none is the
-    identity, and on every graph the tests try they generate the whole group.
+    identity. They generate the whole group: only subtrees that are images
+    of searched ones under found automorphisms are skipped, so every leaf,
+    and the image of the best leaf under any automorphism, is such an image
+    of a scored leaf of the best code, so of the best leaf itself.
 
     The codes depend on the order of the cells ``_refine`` returns, so a
     faster refinement must keep that order, not just the partition.

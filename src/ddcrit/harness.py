@@ -25,7 +25,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from . import criticality as crit
@@ -94,6 +94,20 @@ def _fields(depth: str) -> tuple[str, ...]:
     return _FAST_FIELDS + _FULL_FIELDS if depth == "full" else _FAST_FIELDS
 
 
+class _memo:
+    """``functools.cached_property`` without its lock: a first read stores
+    the value in the instance dict, where later reads find it."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
 class GraphFacts:
     """The invariants of one graph, each computed on first read and kept.
 
@@ -113,39 +127,39 @@ class GraphFacts:
     def adopt(self, report: PropertyReport) -> None:
         """Take the fields of a report of this graph (or of an isomorphic one)."""
         for name in _fields(report.depth):
-            setattr(self, name, getattr(report, name))  # shadows the cached_property
+            setattr(self, name, getattr(report, name))  # shadows the memo
         if report.depth == "full":
             self._factor_holds.update(report.factor_critical or {})
 
     # The bodies below call the module-level functions of the same names.
 
-    @cached_property
+    @_memo
     def canonical_id(self) -> str:
         return canonical_key(self.g).decode("ascii")
 
-    @cached_property
+    @_memo
     def min_degree(self) -> int:
         return min_degree(self.g)
 
-    @cached_property
+    @_memo
     def connectivity(self) -> int:
         # single-vertex graphs record 0 (they are complete, and complete
         # graphs carry the n-1 convention)
         return 0 if self.g.n == 1 else vertex_connectivity(self.g)
 
-    @cached_property
+    @_memo
     def diameter(self) -> Optional[int]:
         return diameter(self.g)
 
-    @cached_property
+    @_memo
     def claw_free(self) -> bool:
         return is_k1r_free(self.g, 3)[0]
 
-    @cached_property
+    @_memo
     def k14_free(self) -> bool:
         return is_k1r_free(self.g, 4)[0]
 
-    @cached_property
+    @_memo
     def gamma2(self) -> Optional[int]:
         gamma = gamma_xk(self.g, 2)
         return gamma.size if gamma.feasible else None
@@ -156,21 +170,21 @@ class GraphFacts:
         if "gamma2" not in self.__dict__:
             if self.order < 4 or dds_of_size(self.g, 3) or not dds_of_size(self.g, 4):
                 return False
-            self.gamma2 = 4  # shadows the cached_property
+            self.gamma2 = 4  # shadows the memo
         return self.gamma2 == 4
 
-    @cached_property
+    @_memo
     def criticality(self) -> Optional[crit.CriticalityReport]:
         """None outside the domain: an isolated vertex, or a disconnected graph."""
         if self.gamma2 is None or not is_connected(self.g):
             return None
         return _criticality_report(self.g, self.gamma2)
 
-    @cached_property
+    @_memo
     def critical(self) -> Optional[bool]:
         return None if self.criticality is None else self.criticality.is_critical
 
-    @cached_property
+    @_memo
     def in_family_H(self) -> bool:
         return is_in_family_H(self.g, self.canonical_id.encode("ascii"))
 
@@ -665,16 +679,15 @@ def default_corpus(check: str, max_order: int) -> Iterator[GraphFacts]:
     The first four checks walk every connected graph up to the order cap. The
     main-claim campaign walks connected claw-free graphs of odd order with
     minimum degree at least 4 (its own hypotheses), which keeps the
-    enumeration tractable at order 9 without an external generator. The
-    generator builds those graphs claw-free, so their memos start with
-    ``claw_free`` set instead of testing it again.
+    enumeration tractable at order 9 without an external generator; their
+    memos start with ``claw_free`` set, as the generator built them so.
     """
     if check == "theorem1":
         for n in range(3, max_order + 1):
             if n % 2 == 1:
                 for g in connected_graphs(n, claw_free=True, final_min_degree=4):
                     facts = GraphFacts(g)
-                    facts.claw_free = True  # shadows the cached_property
+                    facts.claw_free = True  # shadows the memo
                     yield facts
     else:
         for level in _levels(max_order, False, None):

@@ -106,30 +106,6 @@ def _maximum_matching_array(rows: tuple[int, ...], n: int) -> list[int]:
     return match
 
 
-def maximum_matching(g: Graph) -> frozenset:
-    """A maximum matching as a frozenset of sorted vertex pairs."""
-    match = _maximum_matching_array(g.rows, g.n)
-    return frozenset((v, match[v]) for v in range(g.n) if match[v] > v)
-
-
-def matching_number(g: Graph) -> int:
-    match = _maximum_matching_array(g.rows, g.n)
-    return sum(1 for v in range(g.n) if match[v] != -1) // 2
-
-
-def is_matching(g: Graph, edges) -> bool:
-    seen = set()
-    for u, v in edges:
-        if not g.adjacent(u, v) or u in seen or v in seen:
-            return False
-        seen.update((u, v))
-    return True
-
-
-def has_perfect_matching(g: Graph) -> bool:
-    return g.n % 2 == 0 and matching_number(g) * 2 == g.n
-
-
 def _has_pm_minus(rows: tuple[int, ...], n: int, removed_mask: int) -> bool:
     if (n - removed_mask.bit_count()) % 2:
         return False

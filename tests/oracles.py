@@ -34,7 +34,44 @@ from ddcrit.graphs import (
     is_connected,
     min_degree,
 )
-from ddcrit.matching import FactorCriticalityVerdict, ParityError
+from ddcrit.matching import FactorCriticalityVerdict, ParityError, _maximum_matching_array
+
+
+def degree(g: Graph, v: int) -> int:
+    """Formerly ``Graph.degree``."""
+    g.check_vertex(v)
+    return g.rows[v].bit_count()
+
+
+def neighbors(g: Graph, v: int) -> frozenset:
+    """Formerly ``Graph.neighbors``."""
+    g.check_vertex(v)
+    return frozenset(_bits(g.rows[v]))
+
+
+def maximum_matching(g: Graph) -> frozenset:
+    """A maximum matching as a frozenset of sorted vertex pairs (formerly in
+    ``ddcrit.matching``)."""
+    match = _maximum_matching_array(g.rows, g.n)
+    return frozenset((v, match[v]) for v in range(g.n) if match[v] > v)
+
+
+def matching_number(g: Graph) -> int:
+    match = _maximum_matching_array(g.rows, g.n)
+    return sum(1 for v in range(g.n) if match[v] != -1) // 2
+
+
+def is_matching(g: Graph, edges) -> bool:
+    seen = set()
+    for u, v in edges:
+        if not g.adjacent(u, v) or u in seen or v in seen:
+            return False
+        seen.update((u, v))
+    return True
+
+
+def has_perfect_matching(g: Graph) -> bool:
+    return g.n % 2 == 0 and matching_number(g) * 2 == g.n
 
 
 def brute_max_matching_size(g: Graph) -> int:
@@ -120,7 +157,7 @@ def exists_augmenting_path(g: Graph, matching) -> bool:
 
     def extend(v: int, visited: frozenset) -> bool:
         # the path arrives at v ready to leave along an unmatched edge
-        for u in g.neighbors(v):
+        for u in neighbors(g, v):
             if u in visited or match[v] == u:
                 continue
             if match[u] == -1:
@@ -176,7 +213,7 @@ def brute_diameter(g: Graph):
         q = collections.deque([s])
         while q:
             v = q.popleft()
-            for u in g.neighbors(v):
+            for u in neighbors(g, v):
                 if u not in dist:
                     dist[u] = dist[v] + 1
                     q.append(u)

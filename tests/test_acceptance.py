@@ -36,8 +36,8 @@ from ddcrit.harness import (
     run_campaign,
     scan,
 )
-from ddcrit.matching import _has_pm_minus, is_k_factor_critical_direct, maximum_matching
-from oracles import brute_max_matching_size, brute_min_k_tuple_size, is_k_factor_critical_favaron
+from ddcrit.matching import _has_pm_minus, is_k_factor_critical_direct
+from oracles import brute_max_matching_size, brute_min_k_tuple_size, is_k_factor_critical_favaron, maximum_matching
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):

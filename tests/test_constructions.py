@@ -21,7 +21,7 @@ from ddcrit.graphs import (
     vertex_connectivity,
 )
 from ddcrit.matching import is_k_factor_critical_direct
-from oracles import is_isomorphic, odd_component_count
+from oracles import degree, is_isomorphic, neighbors, odd_component_count
 
 H_6_3_CANONICAL = b"HFGm]^|"  # pinned labeling class of the order-9 sharpness example
 
@@ -77,7 +77,7 @@ def test_h_r33_degree_profile():
     for r in (3, 5, 7):
         g = h_r33(r)
         assert g.n == r + 6 and g.n % 2 == 1
-        degrees = [g.degree(v) for v in range(g.n)]
+        degrees = [degree(g, v) for v in range(g.n)]
         assert degrees[: r] == [r + 2] * r               # main clique
         assert degrees[r : r + 3] == [4] * 3             # triangle, where the minimum lives
         assert degrees[r + 3] == r + 2                   # isolated vertex of the triple
@@ -122,10 +122,10 @@ def test_h_6t_property_vector():
 def test_h_6t_wiring_matches_drawing():
     g = h_6t(3)
     c1, c2, c3, c4, apex, near = 3, 4, 5, 6, 7, 8
-    assert g.neighbors(apex) == set(range(7))
-    assert g.neighbors(near) == {0, 1, c1, c2, c3}
+    assert neighbors(g, apex) == set(range(7))
+    assert neighbors(g, near) == {0, 1, c1, c2, c3}
     assert not g.adjacent(apex, near)
-    assert g.neighbors(c4) == {c1, c2, 2, apex}  # cycle ends plus x_t plus apex
+    assert neighbors(g, c4) == {c1, c2, 2, apex}  # cycle ends plus x_t plus apex
     assert g.adjacent(c3, 0) and g.adjacent(c3, 1) and not g.adjacent(c3, 2)
 
 

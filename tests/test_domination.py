@@ -179,3 +179,21 @@ def test_three_vertex_test_on_tiny_graphs_and_isolated_vertices():
         # K_{n-1} plus an isolated vertex has no double dominating set
         g = Graph.from_edges(n, itertools.combinations(range(n - 1), 2))
         assert not _at_most_3(g) and not gamma_xk(g, 2).feasible
+
+
+def test_pair_rule_for_3_sets_matches_the_walker(graphs_by_n):
+    def walked(g):
+        return next(dds_walk(g, 3), None) is not None
+
+    for n in range(1, 9):
+        for g in graphs_by_n[n]:
+            assert dds_of_size(g, 3) == walked(g), g
+    rng = random.Random(47)
+    for _ in range(300):
+        n = rng.randint(9, 16)
+        p = rng.choice((0.3, 0.5, 0.7, 0.85))
+        g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        assert dds_of_size(g, 3) == walked(g), g
+    # no 3-set on two vertices or fewer
+    for g in (Graph.empty(1), Graph.empty(2), Graph.complete(2)):
+        assert not dds_of_size(g, 3) and not walked(g)

@@ -207,3 +207,44 @@ def test_levels_match_orbitless_oracle(graphs_by_n, claw_free_levels):
 
 def test_connected_claw_free_counts_match_oeis(claw_free_levels):
     assert [sum(map(is_connected, level)) for level in claw_free_levels] == CONNECTED_CLAW_FREE_COUNTS
+
+
+def _assert_one_per_class(got, expected):
+    keys = [canonical_key(g) for g in got]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {canonical_key(g) for g in expected}
+
+
+def test_connected_graphs_give_each_connected_class_once(graphs_by_n):
+    for n in range(1, 9):
+        _assert_one_per_class(connected_graphs(n), [g for g in graphs_by_n[n] if is_connected(g)])
+    for degree in (None, 3, 4):
+        for n in range(1, 10):
+            kwargs = dict(claw_free=True, final_min_degree=degree)
+            _assert_one_per_class(connected_graphs(n, **kwargs), enumerate_graphs(n, connected=True, **kwargs))
+
+
+def test_connected_graphs_label_only_tied_last_level_children(monkeypatch):
+    calls = collections.Counter()
+    original = enumeration._canonical
+
+    def counted(rows, n):
+        calls[n] += 1
+        return original(rows, n)
+
+    monkeypatch.setattr(enumeration, "_canonical", counted)
+    connected_graphs(9, claw_free=True, final_min_degree=4)
+    assert [calls[k] for k in range(2, 10)] == [2, 4, 10, 26, 60, 151, 447, 852]
+
+
+def test_children_are_flagged_tied_exactly_when_the_maximum_is_shared(graphs_small):
+    for n in range(1, 8):
+        for parent in graphs_small[n]:
+            code, perm, auts = _canonical(parent.rows, n)
+            for claw_free in (False, True):
+                for gens in (b"", _in_labels(perm, auts)):
+                    flagged = list(_extensions(parent, claw_free, 0, gens, True))
+                    assert [rows for rows, _ in flagged] == list(_extensions(parent, claw_free, 0, gens))
+                    for rows, tied in flagged:
+                        invariants = vertex_invariants(rows, range(n + 1))
+                        assert tied == (invariants.count(max(invariants)) > 1)

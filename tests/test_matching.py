@@ -1,20 +1,17 @@
 import pytest
 
 from ddcrit.graphs import Graph
-from ddcrit.matching import (
-    ParityError,
-    has_perfect_matching,
-    is_k_factor_critical_direct,
-    is_matching,
-    matching_number,
-    maximum_matching,
-)
+from ddcrit.matching import ParityError, is_k_factor_critical_direct
 from ddcrit.constructions import clique_chain, h_6t, h_r33, h_r33_triple
 from oracles import (
     EnumerationBoundError,
     brute_max_matching_size,
     exists_augmenting_path,
+    has_perfect_matching,
     is_k_factor_critical_favaron,
+    is_matching,
+    matching_number,
+    maximum_matching,
 )
 
 
