@@ -3,7 +3,8 @@
 Graphs travel as graph6 text, one per line. JSONL records go to stdout and
 human summaries to stderr. Exit status: 0 when every check passed or was not
 applicable, 1 when any check failed, 2 on usage or decode errors and when
-a file cannot be read or written.
+a file cannot be read or written, and 3 on an internal error (a fault of
+ddcrit itself, reported in one ``error: internal:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 from .constructions import clique_chain, h_6t, h_r33
 from .criticality import FAIL
 from .domination import gamma_xk
-from .graphs import Graph, Graph6Error, to_graph6
+from .graphs import MAX_VERTICES, Graph, Graph6Error, to_graph6
 from .harness import (
     CHECKS,
     GraphFacts,
@@ -32,7 +33,7 @@ from .harness import (
 )
 from .matching import is_k_factor_critical_direct
 
-OK, ANY_FAIL, USAGE = 0, 1, 2
+OK, ANY_FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def _stdin_lines() -> Iterator[str]:
@@ -64,10 +65,10 @@ def _graph_arg_lines(arg: str) -> Iterable[str]:
 
 
 # an argparse type: argparse names it in the message for a non-integer
-def positive_int(text: str) -> int:
+def order_cap(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if not 1 <= value <= MAX_VERTICES:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_VERTICES}, got {value}")
     return value
 
 
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("check", choices=tuple(CHECKS))
     source = p.add_mutually_exclusive_group()
     source.add_argument(
-        "--max-order", type=positive_int, help="order cap of the built-in corpus (default 9 for theorem1, else 8)"
+        "--max-order", type=order_cap, help="order cap of the built-in corpus (default 9 for theorem1, else 8)"
     )
     source.add_argument("--input", help="graph6 corpus file overriding the built-in enumeration")
     p.add_argument("--cache", type=ReportCache, help="JSONL report cache file")
@@ -257,6 +258,10 @@ def main(argv=None) -> int:
     except OSError as exc:  # an input, cache or output file that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except Exception as exc:  # a fault of ddcrit, which must not read as "a check failed"
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal: {message}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -104,10 +104,11 @@ def test_theorem1_runs_expensive_tests_only_past_cheaper_hypotheses(monkeypatch)
     summary = run_campaign("theorem1", corpus)
     assert (summary.passed, summary.failed, summary.not_applicable) == (2, 0, 5)
     name = to_graph6
-    # h_6t has a claw, K9 has gamma2 2 and C9 minimum degree 2
-    assert connectivity == [(name(g),) for g in (family, outside, two_conn, not_crit)]
+    # h_6t has a claw, K9 has gamma2 2 and C9 minimum degree 2; criticality
+    # comes before connectivity, so connectivity runs on critical graphs only
     # each memo hands its gamma2 and its canonical key on instead of recomputing them
-    assert criticality == [(name(g), 4) for g in (family, outside, not_crit)]
+    assert criticality == [(name(g), 4) for g in (family, outside, two_conn, not_crit)]
+    assert connectivity == [(name(g),) for g in (family, outside)]
     assert membership == [(name(g), canonical_key(g)) for g in (family, outside)]
     assert factor == [(name(outside), 3)]  # the family member passes without it
 
@@ -286,3 +287,19 @@ def test_verify_with_cache_matches_and_then_hits(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == PINNED_ORDER7["theorem1"] + "\n"
     assert hits == [True] * len(corpus_keys)
     assert path.read_text() == before
+
+
+def test_theorem1_violations_replay_on_the_printed_graph_in_any_stream_order(monkeypatch, theorem1_corpus):
+    # no corpus graph fails theorem1, so drop its hypotheses: 92 order-9 graphs
+    # then fail with a genuine witness, many of them not in canonical form
+    monkeypatch.setattr(harness, "_theorem1_hypotheses", lambda f: True)
+    summary = run_campaign("theorem1", theorem1_corpus)
+    violations = summary.violations
+    assert summary.failed == len(violations) == 92
+    assert violations == sorted(violations, key=record_to_json)
+    assert run_campaign("theorem1", reversed(theorem1_corpus)).violations == violations
+    assert any(v["examined_graph6"] != v["graph6"] for v in violations)
+    for v in violations:
+        examined = from_graph6(v["examined_graph6"])
+        assert canonical_key(examined).decode("ascii") == v["graph6"]
+        assert harness.replay_verdict(examined, "theorem1", v["verdict"])

@@ -80,6 +80,16 @@ def test_min_degree_restriction_is_exact():
     assert enumerate_graphs(1, final_min_degree=4) == []
 
 
+def test_a_floor_of_half_the_order_leaves_nothing_for_the_connectivity_filter():
+    # the filter is skipped when 2 * floor >= n - 1, and every child meets the floor
+    for n in range(1, 8):
+        for degree in range(n):
+            everything = enumerate_graphs(n, final_min_degree=degree)
+            assert all(min_degree(g) >= degree for g in everything)
+            connected = enumerate_graphs(n, final_min_degree=degree, connected=True)
+            assert connected == [g for g in everything if is_connected(g)]
+
+
 def test_output_is_deterministic_and_canonical():
     runs = [enumerate_graphs(5), enumerate_graphs(5)]
     assert runs[0] == runs[1]
@@ -234,7 +244,17 @@ def test_connected_graphs_label_only_tied_last_level_children(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_canonical", counted)
     connected_graphs(9, claw_free=True, final_min_degree=4)
-    assert [calls[k] for k in range(2, 10)] == [2, 4, 10, 26, 60, 151, 447, 852]
+    # the last level labels only tied children whose key another tied child
+    # of that level shares (852 when it labeled every tied child)
+    assert [calls[k] for k in range(2, 10)] == [2, 4, 10, 26, 60, 151, 447, 452]
+
+
+def _packed(invariants):
+    """The multiset of (degree, neighbor-degree sum) pairs as the library keys it."""
+    key = 0
+    for degree, total in sorted(invariants):
+        key = key << 18 | degree << 12 | total
+    return key
 
 
 def test_children_are_flagged_tied_exactly_when_the_maximum_is_shared(graphs_small):
@@ -243,8 +263,9 @@ def test_children_are_flagged_tied_exactly_when_the_maximum_is_shared(graphs_sma
             code, perm, auts = _canonical(parent.rows, n)
             for claw_free in (False, True):
                 for gens in (b"", _in_labels(perm, auts)):
-                    flagged = list(_extensions(parent, claw_free, 0, gens, True))
-                    assert [rows for rows, _ in flagged] == list(_extensions(parent, claw_free, 0, gens))
-                    for rows, tied in flagged:
+                    keyed = list(_extensions(parent, claw_free, 0, gens, True))
+                    assert [rows for rows, _, _ in keyed] == list(_extensions(parent, claw_free, 0, gens))
+                    for rows, tied, key in keyed:
                         invariants = vertex_invariants(rows, range(n + 1))
-                        assert tied == (invariants.count(max(invariants)) > 1)
+                        assert tied is (invariants.count(max(invariants)) > 1)
+                        assert key == (_packed(invariants) if tied else None)

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from ddcrit import graphs
 from ddcrit.constructions import clique_chain, h_6t, h_r33
-from ddcrit.enumeration import _in_labels
+from ddcrit.enumeration import _in_labels, enumerate_graphs
 from ddcrit.graphs import (
     Graph,
     Graph6Error,
@@ -570,3 +571,26 @@ def test_relabel_rejects_non_permutation():
 def test_is_connected():
     assert is_connected(Graph.path(5))
     assert not is_connected(Graph.from_edges(2, []))
+
+
+def test_canonical_search_size_is_pinned(monkeypatch, graphs_small):
+    # The search's shortcuts leave its results unchanged, so a weakened one
+    # (say, backing up to one level short of where two equal leaves part)
+    # shows only in how much it searches. Pinned over every class with <= 7
+    # vertices and the order-9 theorem1 classes, each relabeled at random.
+    rng = random.Random(7)
+    corpus = [g for n in range(1, 8) for g in graphs_small[n]]
+    corpus += enumerate_graphs(9, claw_free=True, final_min_degree=4, connected=True)
+    relabeled = [relabel(g, rng.sample(range(g.n), g.n)) for g in corpus]
+    calls = 0
+    original = graphs._refine
+
+    def counted(rows, cells, splitters):
+        nonlocal calls
+        calls += 1
+        return original(rows, cells, splitters)
+
+    monkeypatch.setattr(graphs, "_refine", counted)
+    for g in relabeled:
+        _canonical(g.rows, g.n)
+    assert (len(relabeled), calls) == (2773, 16185)

@@ -540,6 +540,15 @@ def test_cli_reports_a_file_it_cannot_read_in_one_line(tmp_path, monkeypatch, ca
     assert main(["construct", "hr33", "--r", "3"]) == 0  # a closed pipe is no error
 
 
+def test_cli_reports_an_internal_error_in_one_line_with_its_own_status(monkeypatch, capsys):
+    def broken(facts):
+        raise RuntimeError("broken check\non two lines")
+
+    monkeypatch.setitem(harness.CHECKS, "lemma1", broken)
+    assert main(["verify", "lemma1", "--max-order", "4"]) == 3  # not 1, "a check failed"
+    assert capsys.readouterr() == ("", "error: internal: RuntimeError: broken check on two lines\n")
+
+
 def test_cli_verify_small_order():
     result = run_cli(["verify", "lemma1", "--max-order", "5"])
     assert result.returncode == 0
@@ -581,6 +590,7 @@ def test_cli_verify_input_stops_at_a_bad_line_before_touching_the_cache(tmp_path
         ["verify", "theorem1", "--input", "corpus.g6", "--max-order", "7"],
         ["verify", "lemma1", "--max-order", "0"],
         ["verify", "lemma1", "--max-order", "-3"],
+        ["verify", "lemma1", "--max-order", "65"],
         ["scan", "--workers", "0"],
         ["scan", "--workers", "-1"],
     ],
