@@ -141,7 +141,6 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    # each hypothesis field has the dest of its scan option
     hypotheses = Hypotheses(**{f.name: getattr(args, f.name) for f in dataclasses.fields(Hypotheses)})
     saw_fail = False
     saw_error = False
@@ -225,14 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default=None, help="graph6 file, default stdin")
     p.add_argument("--depth", choices=("fast", "full"), default="full")
     p.add_argument("--cache", type=ReportCache, help="JSONL report cache file")
-    p.add_argument("--connected", action="store_true")
-    p.add_argument("--odd-order", action="store_true")
-    p.add_argument("--min-degree", type=int, default=None)
-    p.add_argument("--min-connectivity", type=int, default=None)
-    p.add_argument("--claw-free", action="store_true")
-    p.add_argument("--k14-free", action="store_true")
-    p.add_argument("--gamma2", type=int, default=None)
-    p.add_argument("--critical", action="store_true")
+    for f in dataclasses.fields(Hypotheses):  # one option per field, read back by _cmd_scan
+        kind = {"action": "store_true"} if f.default is False else {"type": int, "default": None}
+        p.add_argument("--" + f.name.replace("_", "-"), **kind)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", help="run a named exhaustive campaign")

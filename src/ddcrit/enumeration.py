@@ -242,11 +242,6 @@ def enumerate_graphs(
     return _last_level(n, claw_free, final_min_degree, connected, True)
 
 
-def graphs_upto(n: int, *, claw_free: bool = False) -> dict[int, list[Graph]]:
-    """Every isomorphism class on 1..n vertices, grouped by order."""
-    return dict(enumerate(_levels(n, claw_free, None), start=1))
-
-
 def connected_graphs(n: int, *, claw_free: bool = False, final_min_degree: Optional[int] = None) -> list[Graph]:
     """The connected classes ``enumerate_graphs`` gives, one graph per class
     in generation order, not necessarily in canonical form."""

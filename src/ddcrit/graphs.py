@@ -121,9 +121,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def is_complete(self) -> bool:
-        return self.edge_count() == self.n * (self.n - 1) // 2
-
     def non_edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.n):

@@ -2,14 +2,15 @@
 verification campaigns, and a JSONL report cache.
 
 Every invariant of a graph is read through one per-graph memo,
-``GraphFacts``, which computes a field on first read and keeps it. Each named
-check tests its hypotheses cheapest first (order, degree, claws and diameter
-before domination, criticality before connectivity, factor criticality and
-family membership last), so a campaign computes only what its own verdict
-reads and stops at the first hypothesis that fails. The checks ask only
-whether the double domination number is 4, and answer it by walking the
-vertex sets of sizes 3 and 4 (or by reading the number, when the memo
-already holds it); the exact solver runs only for reports. The theorem1
+``GraphFacts``, which computes a field on first read and keeps it. Every
+hypothesis a check or a scan asks is a rung of one ordered table, ``_RUNGS``,
+cheapest first (criticality before connectivity). A check asks its
+``Hypotheses`` constant rung by rung and stops at the first that fails, so a
+campaign computes only what its verdict reads, factor criticality and family
+membership last; a scan asks the rungs a fast report answers first. The
+checks ask only whether the double domination number is 4, and answer it by
+walking the vertex sets of sizes 3 and 4 (or by reading the number, when the
+memo already holds it); the exact solver runs only for reports. The theorem1
 corpus is generated claw-free, so its memos start with that fact. Full
 property reports and verdicts are read from the same memo; with a report
 cache, the memo adopts the cached full report (computed once per class).
@@ -24,7 +25,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -114,7 +115,7 @@ class GraphFacts:
 
     Attribute names match ``PropertyReport``. Factor criticality is read per
     deletion size through ``factor_verdict`` (witness included) or
-    ``factor_critical_at``. The checks ask ``gamma2_is_4()``, which never
+    ``factor_critical_at``. The hypotheses ask ``gamma2_is(k)``, which never
     solves for ``gamma2``. A cached full report is taken in
     through ``adopt`` (see ``analyze``) instead of being computed.
     """
@@ -165,14 +166,14 @@ class GraphFacts:
         gamma = gamma_xk(self.g, 2)
         return gamma.size if gamma.feasible else None
 
-    def gamma2_is_4(self) -> bool:
-        """Is the double domination number 4? Read from the memo, or decided
-        from the 3- and 4-sets and a yes kept as ``gamma2``."""
+    def gamma2_is(self, k: int) -> bool:
+        """Is the double domination number k? Read from the memo, or decided
+        from the (k-1)- and k-sets and a yes kept as ``gamma2``."""
         if "gamma2" not in self.__dict__:
-            if self.order < 4 or dds_of_size(self.g, 3) or not dds_of_size(self.g, 4):
+            if self.order < k or dds_of_size(self.g, k - 1) or not dds_of_size(self.g, k):
                 return False
-            self.gamma2 = 4  # shadows the memo
-        return self.gamma2 == 4
+            self.gamma2 = k  # shadows the memo
+        return self.gamma2 == k
 
     @_memo
     def criticality(self) -> Optional[crit.CriticalityReport]:
@@ -234,6 +235,53 @@ def analyze(
     return report
 
 
+# -- hypotheses ------------------------------------------------------------------
+
+# Every hypothesis a check or a scan asks, in the order it is asked: cheapest
+# first, and criticality before Even's connectivity, which costs more per
+# graph and which few graphs with gamma2 4 reach. A rung is the ``Hypotheses``
+# field that turns it on, whether a fast report answers it, and its test of a
+# memo against the field's value.
+_RUNGS: tuple[tuple[str, bool, Callable[[GraphFacts, object], bool]], ...] = (
+    ("odd_order", True, lambda f, _: f.order % 2 == 1),
+    ("min_degree", True, lambda f, bound: f.min_degree >= bound),
+    ("connected", True, lambda f, _: f.diameter is not None),
+    ("claw_free", True, lambda f, _: f.claw_free),
+    ("k14_free", True, lambda f, _: f.k14_free),
+    ("gamma2", False, lambda f, k: f.gamma2_is(k)),
+    ("critical", False, lambda f, _: bool(f.critical)),
+    ("min_connectivity", True, lambda f, bound: f.connectivity >= bound),
+)
+
+
+@dataclass(frozen=True)
+class Hypotheses:
+    """Conditions a graph must meet: a check's hypotheses, or what a scanned
+    graph must meet to produce a record. A field at its default asks nothing."""
+
+    connected: bool = False
+    odd_order: bool = False
+    min_degree: Optional[int] = None
+    min_connectivity: Optional[int] = None
+    claw_free: bool = False
+    k14_free: bool = False
+    gamma2: Optional[int] = None
+    critical: bool = False
+
+    def __post_init__(self):
+        # the set rungs' tests and bounds, in table order; a bound of 0 is set
+        rungs = [(test, getattr(self, name)) for name, _, test in _RUNGS]
+        object.__setattr__(self, "_rungs", tuple(r for r in rungs if r[1] is not None and r[1] is not False))
+
+    def holds(self, facts: GraphFacts) -> bool:
+        """Does the graph meet every set rung? The rungs are asked in table
+        order, and a failed one leaves the fields of the rest uncomputed."""
+        for test, bound in self._rungs:  # a loop: a generator costs more per call
+            if not test(facts, bound):
+                return False
+        return True
+
+
 # -- named checks -------------------------------------------------------------
 
 
@@ -262,13 +310,19 @@ def _verdict(status: str, witness: Optional[dict] = None) -> dict:
     return out
 
 
-def _four_critical(f: GraphFacts) -> bool:
-    return f.gamma2_is_4() and bool(f.critical)
+# Each check's hypotheses. Criticality is None on a disconnected graph, so
+# THEOREM1 needs no connectedness rung; a claw-free graph is K1,4-free, so
+# LEMMA3's star-freeness is one K1,4 rung.
+FOUR_CRITICAL = Hypotheses(gamma2=4, critical=True)
+LEMMA1 = Hypotheses(connected=True, gamma2=4, critical=True)
+LEMMA3 = Hypotheses(connected=True, k14_free=True, gamma2=4, critical=True)
+OBS1 = Hypotheses(connected=True, critical=True)
+THEOREM1 = Hypotheses(odd_order=True, min_degree=4, claw_free=True, gamma2=4, critical=True, min_connectivity=3)
 
 
 def _lemma1(f: GraphFacts) -> dict:
     """The diameter of a connected 4-critical graph is 2 or 3."""
-    if f.diameter is None or not _four_critical(f):
+    if not LEMMA1.holds(f):
         return _verdict(NOT_APPLICABLE)
     ok = f.diameter in (2, 3)
     return _verdict(PASS if ok else FAIL, None if ok else {"diameter": f.diameter})
@@ -279,7 +333,7 @@ def _lemma2(f: GraphFacts) -> dict:
     if f.diameter != 3:
         return _verdict(NOT_APPLICABLE)
     chain = _clique_chain_keys(f.order).get(f.canonical_id.encode("ascii"))
-    four_critical = _four_critical(f)
+    four_critical = FOUR_CRITICAL.holds(f)
     ok = four_critical == (chain is not None)
     return _verdict(
         PASS if ok else FAIL,
@@ -289,13 +343,10 @@ def _lemma2(f: GraphFacts) -> dict:
 
 def _lemma3(f: GraphFacts) -> dict:
     """Star-free 4-critical graphs have small independence number."""
-    if f.diameter is None:
-        return _verdict(NOT_APPLICABLE)
-    applicable_r = [r for r, free in ((3, f.claw_free), (4, f.k14_free)) if free]
-    if not applicable_r or not _four_critical(f):
+    if not LEMMA3.holds(f):
         return _verdict(NOT_APPLICABLE)
     alpha, witness_set = independence_number(f.g)
-    bad = [r for r in applicable_r if alpha > r]
+    bad = [r for r in ((3, 4) if f.claw_free else (4,)) if alpha > r]
     return _verdict(
         PASS if not bad else FAIL,
         None if not bad else {"r": bad[0], "alpha": alpha, "independent_set": sorted(witness_set)},
@@ -304,7 +355,7 @@ def _lemma3(f: GraphFacts) -> dict:
 
 def _obs1(f: GraphFacts) -> dict:
     """Minimum sets of every augmentation meet the new edge."""
-    if f.diameter is None or not f.critical:
+    if not OBS1.holds(f):
         return _verdict(NOT_APPLICABLE)
     obs = crit.check_observation1(f.g, f.criticality)
     if obs.ok:
@@ -313,23 +364,9 @@ def _obs1(f: GraphFacts) -> dict:
     return _verdict(FAIL, {"u": u, "v": v, "dds": sorted(dds)})
 
 
-def _theorem1_hypotheses(f: GraphFacts) -> bool:
-    # criticality is None on a disconnected graph, so no separate
-    # connectedness test; Even's kappa comes last, as it costs more per graph
-    # than the criticality walk, and few graphs with gamma2 4 are critical
-    return (
-        f.order % 2 == 1
-        and f.min_degree >= 4
-        and f.claw_free
-        and f.gamma2_is_4()
-        and bool(f.critical)
-        and f.connectivity >= 3
-    )
-
-
 def _theorem1(f: GraphFacts) -> dict:
     """The hypotheses force 3-factor-criticality or family membership."""
-    if not _theorem1_hypotheses(f):
+    if not THEOREM1.holds(f):
         return _verdict(NOT_APPLICABLE)
     if f.in_family_H or f.factor_critical_at(3):
         return _verdict(PASS)
@@ -337,7 +374,7 @@ def _theorem1(f: GraphFacts) -> dict:
     return _verdict(FAIL, {"failing_3_set": sorted(verdict.witness_failure)})
 
 
-# The five named checks. Each tests its hypotheses cheapest first and reads
+# The five named checks. Each asks its hypotheses in table order and reads
 # only the fields its verdict needs; fail entries carry a witness that replays.
 CHECKS: dict[str, Callable[[GraphFacts], dict]] = {
     "lemma1": _lemma1,
@@ -415,46 +452,6 @@ def replay_verdict(g: Graph, name: str, verdict: dict) -> bool:
 # -- scan ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Hypotheses:
-    """Filter conditions a scanned graph must meet to produce a record."""
-
-    connected: bool = False
-    odd_order: bool = False
-    min_degree: Optional[int] = None
-    min_connectivity: Optional[int] = None
-    claw_free: bool = False
-    k14_free: bool = False
-    gamma2: Optional[int] = None
-    critical: bool = False
-
-    def needs_full(self) -> bool:
-        return self.gamma2 is not None or self.critical
-
-    def fast_pass(self, facts: GraphFacts) -> bool:
-        # cheapest first: a failed test leaves the rest uncomputed
-        if self.odd_order and facts.order % 2 == 0:
-            return False
-        if self.min_degree is not None and facts.min_degree < self.min_degree:
-            return False
-        if self.connected and facts.diameter is None:
-            return False
-        if self.claw_free and not facts.claw_free:
-            return False
-        if self.k14_free and not facts.k14_free:
-            return False
-        if self.min_connectivity is not None and facts.connectivity < self.min_connectivity:
-            return False
-        return True
-
-    def full_pass(self, facts: GraphFacts) -> bool:
-        if self.gamma2 is not None and facts.gamma2 != self.gamma2:
-            return False
-        if self.critical and not facts.critical:
-            return False
-        return True
-
-
 def decode_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, Union[Graph, Graph6Error]]]:
     """Each non-blank graph6 line as ``(input_index, text, graph or decode error)``.
 
@@ -486,17 +483,25 @@ def scan(
     """
     if depth not in ("fast", "full"):
         raise ValueError("depth must be 'fast' or 'full'")
+    # the rungs a fast report answers, asked before the full report is taken,
+    # and the rest, asked after it
+    unset = Hypotheses()
+    fast, full = (
+        replace(hypotheses, **{name: getattr(unset, name) for name, is_fast, _ in _RUNGS if is_fast != half})
+        for half in (True, False)
+    )
+    take_full = depth == "full" or full != unset
     for index, text, g in decode_lines(lines):
         if isinstance(g, Graph6Error):
             yield {"input_index": index, "graph6": text, "error": str(g)}
             continue
         facts = GraphFacts(g)
-        if not hypotheses.fast_pass(facts):
+        if not fast.holds(facts):
             continue
-        if depth == "full" or hypotheses.needs_full():
+        if take_full:
             # builds the full report, or adopts a cached one, into the memo
             report = analyze(facts, "full", cache=cache)
-            if not hypotheses.full_pass(facts):
+            if not full.holds(facts):
                 continue
         if depth == "fast":
             report, verdicts = analyze(facts, "fast"), {}
@@ -584,9 +589,8 @@ def run_campaign(
     if name == "lemma2":
         forward_failures = []
         for s, t in itertools.product(range(1, _LEMMA2_CHAIN_MAX + 1), repeat=2):
-            chain = clique_chain(1, s, t, 1)
-            report = crit.criticality_report(chain)
-            if not (report.is_critical and report.gamma2 == 4 and diameter(chain) == 3):
+            chain = GraphFacts(clique_chain(1, s, t, 1))
+            if not (FOUR_CRITICAL.holds(chain) and chain.diameter == 3):
                 forward_failures.append({"s": s, "t": t})
         summary.extras["forward_checked"] = _LEMMA2_CHAIN_MAX**2
         summary.extras["forward_failures"] = forward_failures
@@ -609,7 +613,8 @@ class ReportCache:
     none) are not served: a load that finds any warns once with their count,
     and their reports are recomputed and stored again. Corrupt lines are
     skipped with a warning each; so is a line whose report is not of full
-    depth, or is filed under a key other than its own canonical id. A load
+    depth, is filed under a key other than its own canonical id, or has an
+    ``in_family_H`` its key contradicts. A load
     that skips any line rewrites the file with only the lines it serves, so
     the next load has nothing to skip.
     """
@@ -638,9 +643,12 @@ class ReportCache:
                             stale += 1
                             continue
                         report = PropertyReport.from_json_dict(data["report"])
-                        if report.depth != "full" or report.canonical_id != data["key"]:
+                        key = data["key"]
+                        # the key's order names the one family key it could be
+                        member = is_in_family_H(from_graph6(key), key.encode("ascii"))
+                        if report.depth != "full" or report.canonical_id != key or report.in_family_H != member:
                             raise ValueError("not the full report of its key")
-                        self._entries[data["key"]] = report
+                        self._entries[key] = report
                         kept.append(line + "\n")
                     except (ValueError, KeyError, TypeError, AttributeError):
                         corrupt += 1

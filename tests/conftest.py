@@ -1,8 +1,8 @@
 import pytest
 
-from ddcrit.enumeration import graphs_upto
 from ddcrit.graphs import is_connected
 from ddcrit.harness import default_corpus
+from oracles import graphs_upto
 
 
 @pytest.fixture(scope="session")

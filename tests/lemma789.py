@@ -14,7 +14,7 @@ from typing import Optional
 
 from ddcrit.criticality import FAIL, NOT_APPLICABLE, PASS
 from ddcrit.graphs import Graph, components
-from ddcrit.harness import GraphFacts, _theorem1_hypotheses
+from ddcrit.harness import THEOREM1, GraphFacts
 
 
 @dataclass
@@ -33,7 +33,7 @@ class Lemma789Result:
 
 def verify_lemma7_8_9(g: Graph) -> Lemma789Result:
     facts = GraphFacts(g)
-    if not _theorem1_hypotheses(facts):
+    if not THEOREM1.holds(facts):
         return Lemma789Result(NOT_APPLICABLE, "hypotheses not satisfied")
     if facts.factor_critical_at(3):
         return Lemma789Result(NOT_APPLICABLE, "graph is 3-factor-critical")

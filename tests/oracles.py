@@ -20,7 +20,7 @@ from ddcrit.criticality import (
     ProfileCheckResult,
 )
 from ddcrit.domination import gamma_xk
-from ddcrit.enumeration import _claw_touching, _extensions
+from ddcrit.enumeration import _claw_touching, _extensions, _levels
 from ddcrit.graphs import (
     Graph,
     _bits,
@@ -649,6 +649,61 @@ def eager_verdicts(g: Graph, report) -> dict:
     return out
 
 
+# -- the hypothesis tests the rung table replaced --------------------------------
+# Each reads a memo that holds the full report: gamma2 comes from the solver.
+
+
+def four_critical(f) -> bool:
+    return f.gamma2 == 4 and bool(f.critical)
+
+
+def theorem1_hypotheses(f) -> bool:
+    return (
+        f.order % 2 == 1
+        and f.min_degree >= 4
+        and f.claw_free
+        and f.gamma2 == 4
+        and bool(f.critical)
+        and f.connectivity >= 3
+    )
+
+
+def lemma_gates(f) -> dict:
+    """The hypotheses lemma1, lemma3 and obs1 tested inline."""
+    connected = f.diameter is not None
+    return {
+        "lemma1": connected and four_critical(f),
+        "lemma3": connected and bool(f.claw_free or f.k14_free) and four_critical(f),
+        "obs1": connected and bool(f.critical),
+    }
+
+
+def fast_pass(h, facts) -> bool:
+    """``Hypotheses.fast_pass``: the flags a fast report answers."""
+    if h.odd_order and facts.order % 2 == 0:
+        return False
+    if h.min_degree is not None and facts.min_degree < h.min_degree:
+        return False
+    if h.connected and facts.diameter is None:
+        return False
+    if h.claw_free and not facts.claw_free:
+        return False
+    if h.k14_free and not facts.k14_free:
+        return False
+    if h.min_connectivity is not None and facts.connectivity < h.min_connectivity:
+        return False
+    return True
+
+
+def full_pass(h, facts) -> bool:
+    """``Hypotheses.full_pass``: the flags only a full report answers."""
+    if h.gamma2 is not None and facts.gamma2 != h.gamma2:
+        return False
+    if h.critical and not facts.critical:
+        return False
+    return True
+
+
 def unit_flow(g: Graph, s: int, t: int) -> int:
     """Number of internally vertex-disjoint s-t paths (s,t nonadjacent).
 
@@ -707,7 +762,7 @@ def all_pairs_vertex_connectivity(g: Graph) -> int:
     """
     if g.n < 2:
         raise ValueError("vertex connectivity needs at least 2 vertices")
-    if g.is_complete():
+    if is_complete(g):
         return g.n - 1
     best = g.n - 1
     for u, v in itertools.combinations(range(g.n), 2):
@@ -719,6 +774,15 @@ def all_pairs_vertex_connectivity(g: Graph) -> int:
 
 
 # -- library names with no production caller, kept for the tests ------------
+
+
+def graphs_upto(n: int, *, claw_free: bool = False) -> dict[int, list[Graph]]:
+    """Every isomorphism class on 1..n vertices, grouped by order."""
+    return dict(enumerate(_levels(n, claw_free, None), start=1))
+
+
+def is_complete(g: Graph) -> bool:
+    return g.edge_count() == g.n * (g.n - 1) // 2
 
 
 def complement(g: Graph) -> Graph:

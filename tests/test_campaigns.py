@@ -16,6 +16,11 @@ from ddcrit.domination import gamma_xk
 from ddcrit.graphs import Graph, canonical_key, from_graph6, to_graph6
 from ddcrit.harness import (
     CHECKS,
+    FOUR_CRITICAL,
+    LEMMA1,
+    LEMMA3,
+    OBS1,
+    THEOREM1,
     GraphFacts,
     Hypotheses,
     ReportCache,
@@ -26,7 +31,7 @@ from ddcrit.harness import (
     run_campaign,
     scan,
 )
-from oracles import eager_verdicts
+from oracles import eager_verdicts, fast_pass, four_critical, full_pass, lemma_gates, theorem1_hypotheses
 
 # `ddcrit verify <check> --max-order 7` stdout, recorded before the checks
 # became demand driven
@@ -50,12 +55,27 @@ TWO_CONNECTED = "HwCW~Nw"  # gamma2 4, connectivity 2
 NOT_CRITICAL = "HKyujt|"  # gamma2 4, 3-connected, not critical
 
 
-def test_demand_driven_verdicts_match_eager_reference(connected_upto_8, theorem1_corpus):
+# each scan flag alone, bounds 0 and 5 included
+SINGLE_FLAGS = [
+    *(Hypotheses(**{name: True}) for name in ("connected", "odd_order", "claw_free", "k14_free", "critical")),
+    *(Hypotheses(**{name: k}) for name in ("min_degree", "min_connectivity", "gamma2") for k in range(6)),
+]
+
+
+def test_demand_driven_verdicts_match_eager_reference(graphs_by_n, theorem1_corpus):
     mismatches = []
-    for g in list(connected_upto_8) + list(theorem1_corpus):
+    for g in [g for n in range(1, 9) for g in graphs_by_n[n]] + list(theorem1_corpus):
         facts = GraphFacts(g)
         expected = eager_verdicts(g, analyze(facts, "full"))
         assert compute_verdicts(facts) == expected
+        # the rung table against the hypothesis tests it replaced
+        assert THEOREM1.holds(facts) == theorem1_hypotheses(facts)
+        assert FOUR_CRITICAL.holds(facts) == four_critical(facts)
+        assert {"lemma1": LEMMA1.holds(facts), "lemma3": LEMMA3.holds(facts), "obs1": OBS1.holds(facts)} == lemma_gates(
+            facts
+        )
+        for h in SINGLE_FLAGS:
+            assert h.holds(facts) == (fast_pass(h, facts) and full_pass(h, facts)), (to_graph6(g), h)
         for name, check in CHECKS.items():
             if check(GraphFacts(g)) != expected[name]:
                 mismatches.append((to_graph6(g), name))
@@ -138,7 +158,7 @@ def test_checks_read_a_gamma2_the_memo_holds(monkeypatch):
         analyze(facts, "full")
         compute_verdicts(facts)
     assert bounded == []
-    assert GraphFacts(Graph.complete(9)).gamma2_is_4() is False
+    assert GraphFacts(Graph.complete(9)).gamma2_is(4) is False
     assert bounded == [(to_graph6(Graph.complete(9)), 3)]
 
 
@@ -151,12 +171,52 @@ def test_gamma2_is_4_matches_the_solver(graphs_by_n, monkeypatch):
         p = rng.choice((0.3, 0.5, 0.7, 0.85))
         graphs.append(Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
     for g in graphs:
-        facts = GraphFacts(g)
-        answer = facts.gamma2_is_4()
-        assert answer == (gamma_xk(g, 2).size == 4), to_graph6(g)
-        # a yes is kept for criticality to read
-        assert ("gamma2" in facts.__dict__) == answer
+        size = gamma_xk(g, 2).size
+        for k in range(2, 6):
+            facts = GraphFacts(g)
+            answer = facts.gamma2_is(k)
+            assert answer == (size == k), (to_graph6(g), k)
+            # a yes is kept for criticality to read
+            assert ("gamma2" in facts.__dict__) == answer
     assert solves == []
+
+
+def test_each_rung_refuses_alone_and_accepts_a_bound_exactly_met(graphs_small):
+    # h_r33(3) meets every rung, with minimum degree 4 and connectivity 3
+    # exactly; no corpus graph reaches the connectivity rung below 3, so each
+    # failure is preset on its memo
+    met = dict(order=9, min_degree=4, diameter=2, claw_free=True, k14_free=True, gamma2=4, critical=True, connectivity=3)
+
+    def preset(**fields):
+        facts = GraphFacts(h_r33(3))
+        for name, value in {**met, **fields}.items():
+            setattr(facts, name, value)  # shadows the memo
+        return facts
+
+    constants = {"FOUR_CRITICAL": FOUR_CRITICAL, "LEMMA1": LEMMA1, "LEMMA3": LEMMA3, "OBS1": OBS1, "THEOREM1": THEOREM1}
+    assert all(h.holds(preset()) for h in constants.values())
+    refused_by = [
+        ({"order": 8}, {"THEOREM1"}),
+        ({"min_degree": 3}, {"THEOREM1"}),
+        ({"diameter": None}, {"LEMMA1", "LEMMA3", "OBS1"}),
+        ({"claw_free": False}, {"THEOREM1"}),
+        ({"k14_free": False}, {"LEMMA3"}),
+        ({"gamma2": 3}, {"FOUR_CRITICAL", "LEMMA1", "LEMMA3", "THEOREM1"}),
+        ({"gamma2": 5}, {"FOUR_CRITICAL", "LEMMA1", "LEMMA3", "THEOREM1"}),
+        ({"critical": False}, set(constants)),
+        ({"connectivity": 2}, {"THEOREM1"}),
+    ]
+    for fields, refusing in refused_by:
+        facts = preset(**fields)
+        assert {name for name, h in constants.items() if not h.holds(facts)} == refusing, fields
+    # a bound of 0 is a bound: no graph has double domination number 0, and
+    # every graph has minimum degree and connectivity at least 0
+    graphs = [h_r33(3), Graph.complete(1), Graph.empty(3)] + [g for n in range(1, 8) for g in graphs_small[n]]
+    for g in graphs:
+        assert not Hypotheses(gamma2=0).holds(GraphFacts(g))
+        assert Hypotheses(min_degree=0).holds(GraphFacts(g))
+        assert Hypotheses(min_connectivity=0).holds(GraphFacts(g))
+    assert not Hypotheses(gamma2=0).holds(preset())
 
 
 def test_criticality_reuses_the_memos_gamma2(monkeypatch):
@@ -292,7 +352,7 @@ def test_verify_with_cache_matches_and_then_hits(tmp_path, monkeypatch, capsys):
 def test_theorem1_violations_replay_on_the_printed_graph_in_any_stream_order(monkeypatch, theorem1_corpus):
     # no corpus graph fails theorem1, so drop its hypotheses: 92 order-9 graphs
     # then fail with a genuine witness, many of them not in canonical form
-    monkeypatch.setattr(harness, "_theorem1_hypotheses", lambda f: True)
+    monkeypatch.setattr(harness, "THEOREM1", Hypotheses())
     summary = run_campaign("theorem1", theorem1_corpus)
     violations = summary.violations
     assert summary.failed == len(violations) == 92

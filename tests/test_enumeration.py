@@ -10,7 +10,6 @@ from ddcrit.enumeration import (
     _levels,
     connected_graphs,
     enumerate_graphs,
-    graphs_upto,
 )
 from ddcrit.graphs import Graph, _canonical, canonical_key, is_connected, is_k1r_free, min_degree, to_graph6
 from oracles import (

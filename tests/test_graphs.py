@@ -32,6 +32,7 @@ from oracles import (
     equitable_refine,
     full_signature_refine,
     generated_group,
+    is_complete,
     is_isomorphic,
     neighbors,
     odd_component_count,
@@ -62,7 +63,7 @@ def test_basic_accessors():
     assert degree(g, 1) == 2
     assert neighbors(g, 1) == {0, 2}
     assert g.non_edges() == [(0, 2), (0, 3), (1, 3)]
-    assert Graph.complete(5).is_complete()
+    assert is_complete(Graph.complete(5))
 
 
 # -- graph6 --------------------------------------------------------------------
@@ -202,7 +203,7 @@ def test_diameter():
 def test_diameter_one_iff_complete(graphs_small):
     for n in range(2, 6):
         for g in graphs_small[n]:
-            assert (diameter(g) == 1) == g.is_complete()
+            assert (diameter(g) == 1) == is_complete(g)
 
 
 # -- connectivity ----------------------------------------------------------------
@@ -229,7 +230,7 @@ def test_vertex_connectivity_against_cut_enumeration(graphs_small):
     import itertools
 
     for g in graphs_small[5]:
-        if g.is_complete():
+        if is_complete(g):
             continue
         brute = None
         for size in range(g.n):

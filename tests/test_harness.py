@@ -321,12 +321,16 @@ def test_cache_recomputes_lines_of_another_version(tmp_path, capsys):
     assert capsys.readouterr().err == ""  # a later load has nothing to warn about
 
 
-@pytest.mark.parametrize("wrong", ["fast_depth", "other_graph"])
+@pytest.mark.parametrize("wrong", ["fast_depth", "other_graph", "not_in_family"])
 def test_cli_skips_a_cache_line_of_the_wrong_depth_or_graph(wrong, tmp_path, capsys):
     g = h_r33(3)
     key = canonical_key(g).decode("ascii")
-    report = analyze(g, "fast") if wrong == "fast_depth" else analyze(Graph.complete(4), "full")
-    line = json.dumps({"key": key, "report": report.to_json_dict(), "version": ReportCache.VERSION})
+    data = {
+        "fast_depth": analyze(g, "fast").to_json_dict(),
+        "other_graph": analyze(Graph.complete(4), "full").to_json_dict(),
+        "not_in_family": dict(analyze(g, "full").to_json_dict(), in_family_H=False),
+    }[wrong]
+    line = json.dumps({"key": key, "report": data, "version": ReportCache.VERSION})
     cache = tmp_path / "reports.jsonl"
     corpus = tmp_path / "family.g6"
     corpus.write_text(to_graph6(g) + "\n")
@@ -337,6 +341,7 @@ def test_cli_skips_a_cache_line_of_the_wrong_depth_or_graph(wrong, tmp_path, cap
         assert main([*argv, "--cache", str(cache)]) == 0
         out, err = capsys.readouterr()
         assert "skipping corrupt cache line 1 " in err
+        assert ReportCache(cache).lookup(key) == analyze(g, "full")  # recomputed in its place
         if argv[0] == "scan":
             assert out == uncached
         else:
