@@ -145,8 +145,9 @@ def _cmd_scan(args) -> int:
     saw_fail = False
     saw_error = False
     emitted = 0
+    write = sys.stdout.write  # one call per record; print makes two
     for record in scan(_input_lines(args.input), hypotheses, args.depth, args.cache):
-        print(record_to_json(record))
+        write(record_to_json(record) + "\n")
         emitted += 1
         if "error" in record:
             saw_error = True

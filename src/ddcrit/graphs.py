@@ -90,20 +90,6 @@ class Graph:
         full = (1 << n) - 1
         return cls(n, tuple(full ^ (1 << v) for v in range(n)))
 
-    @classmethod
-    def path(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-    @classmethod
-    def cycle(cls, n: int) -> "Graph":
-        if n < 3:
-            raise ValueError("cycle needs at least 3 vertices")
-        return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-    @classmethod
-    def star(cls, leaves: int) -> "Graph":
-        return cls.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
     # -- basic accessors ----------------------------------------------------
 
     def check_vertex(self, v: int) -> None:
@@ -178,7 +164,8 @@ def from_graph6(text: str) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             k += 1
-    return Graph(n, tuple(rows))
+    # each bit sets both rows, off the diagonal, below n <= 64
+    return Graph._trusted(n, tuple(rows))
 
 
 def _graph6(n: int, rows) -> bytes:

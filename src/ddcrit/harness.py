@@ -16,7 +16,10 @@ property reports and verdicts are read from the same memo; with a report
 cache, the memo adopts the cached full report (computed once per class).
 Scan output is JSONL, one record per surviving input line, deterministic for
 a fixed input order and flag set. A scan streams: it reads one input line
-at a time and emits its record before reading the next.
+at a time and emits its record before reading the next. Every verdict but a
+fail's witness is an isomorphism invariant, so with a cache the later lines of
+a class share its first record when that has no fail (see ``scan``). Every
+fail is replayed on its own graph before it is reported.
 """
 
 from __future__ import annotations
@@ -32,11 +35,12 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 from . import criticality as crit
 from .constructions import clique_chain, is_in_family_H
 from .criticality import FAIL, NOT_APPLICABLE, PASS
-from .domination import dds_of_size, gamma_xk
+from .domination import dds_of_size, gamma_xk, is_k_tuple_dominating
 from .enumeration import _levels, connected_graphs
 from .graphs import (
     Graph,
     Graph6Error,
+    add_edge,
     canonical_key,
     diameter,
     from_graph6,
@@ -47,7 +51,7 @@ from .graphs import (
     to_graph6,
     vertex_connectivity,
 )
-from .matching import FactorCriticalityVerdict, is_k_factor_critical_direct
+from .matching import FactorCriticalityVerdict, _has_pm_minus, is_k_factor_critical_direct
 
 # Each graph's memo computes its report once, so this keeps nothing: a sized
 # cache held the report of every distinct graph a scan met and never hit. It
@@ -420,9 +424,6 @@ def replay_verdict(g: Graph, name: str, verdict: dict) -> bool:
         free, _ = is_k1r_free(g, r)
         return free and all(not g.adjacent(u, v) for i, u in enumerate(indep) for v in indep[i + 1:])
     if name == "obs1":
-        from .domination import is_k_tuple_dominating
-        from .graphs import add_edge
-
         u, v, dds = witness.get("u"), witness.get("v"), witness.get("dds")
         if not _are_vertices(g, [u, v]) or not _are_vertices(g, dds) or g.adjacent(u, v):
             return False
@@ -436,8 +437,6 @@ def replay_verdict(g: Graph, name: str, verdict: dict) -> bool:
         hit = len(set(dds) & {u, v})
         return hit == 0 or (entry.drop == 2 and hit != 2)
     if name == "theorem1":
-        from .matching import _has_pm_minus
-
         failing = witness.get("failing_3_set")
         # three distinct vertices, or the mask below deletes fewer than three
         if not _are_vertices(g, failing) or len(set(failing)) != 3 or is_in_family_H(g):
@@ -469,6 +468,19 @@ def decode_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, Union[Graph, 
         yield index, text, decoded
 
 
+class _SharedRecord(dict):
+    """A scan record sharing its class's report and verdicts (read-only);
+    ``tail`` is their JSON text, which ``record_to_json`` splices in."""
+
+    __slots__ = ("tail",)
+
+
+def _confirm(g: Graph, name: str, verdict: dict) -> None:
+    """Raise ``RuntimeError``, a fault of ddcrit, unless a fail's witness replays on g."""
+    if not replay_verdict(g, name, verdict):
+        raise RuntimeError(f"{name} fail on {to_graph6(g)} does not replay: {record_to_json(verdict)}")
+
+
 def scan(
     lines: Iterable[str],
     hypotheses: Hypotheses = Hypotheses(),
@@ -478,8 +490,11 @@ def scan(
     """One record per surviving input line, in input order.
 
     Malformed lines yield error records and scanning continues. Lines are
-    read lazily: a record is yielded before the line after it is read, so a
-    scan holds one graph at a time however long its input.
+    read lazily: a record is yielded before the line after it is read, so
+    without a cache a scan holds one graph at a time however long its input.
+    With a cache, a full scan keeps the first record of each class without a
+    fail, one per class the cache holds; later lines of the class, still
+    decoded, labeled and looked up, share its report, verdicts and JSON text.
     """
     if depth not in ("fast", "full"):
         raise ValueError("depth must be 'fast' or 'full'")
@@ -491,6 +506,7 @@ def scan(
         for half in (True, False)
     )
     take_full = depth == "full" or full != unset
+    shared: dict[str, tuple[dict, dict, str]] = {}  # canonical id: report, verdicts, JSON text
     for index, text, g in decode_lines(lines):
         if isinstance(g, Graph6Error):
             yield {"input_index": index, "graph6": text, "error": str(g)}
@@ -506,11 +522,28 @@ def scan(
         if depth == "fast":
             report, verdicts = analyze(facts, "fast"), {}
         else:
-            verdicts = compute_verdicts(facts)
+            entry = shared.get(report.canonical_id)
+            if entry is None:
+                verdicts = compute_verdicts(facts)
+                fails = [name for name, verdict in verdicts.items() if verdict["status"] == FAIL]
+                for name in fails:
+                    _confirm(g, name, verdicts[name])
+                if cache is not None and not fails:
+                    body = {"report": report.to_json_dict(), "verdicts": verdicts}
+                    # the record's text after its graph6 and index, as the keys sort
+                    entry = shared[report.canonical_id] = (body["report"], verdicts, record_to_json(body)[1:])
+            if entry is not None:
+                record = _SharedRecord(input_index=index, graph6=text, report=entry[0], verdicts=entry[1])
+                record.tail = entry[2]
+                yield record
+                continue
         yield {"input_index": index, "graph6": text, "report": report.to_json_dict(), "verdicts": verdicts}
 
 
 def record_to_json(record: dict) -> str:
+    """A record's JSON text, keys sorted; a shared record splices in its tail."""
+    if type(record) is _SharedRecord:
+        return f'{{"graph6":{json.dumps(record["graph6"])},"input_index":{record["input_index"]},{record.tail}'
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
@@ -537,6 +570,7 @@ class CampaignSummary:
         if status == PASS:
             self.passed += 1
         elif status == FAIL:
+            _confirm(g, self.name, verdict)
             self.failed += 1
             # the witness numbers the vertices of g, which need not be canonical
             self.violations.append(

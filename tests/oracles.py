@@ -6,7 +6,7 @@ tiny graphs.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -23,6 +23,7 @@ from ddcrit.domination import gamma_xk
 from ddcrit.enumeration import _claw_touching, _extensions, _levels
 from ddcrit.graphs import (
     Graph,
+    Graph6Error,
     _bits,
     _canonical,
     _component_masks,
@@ -34,6 +35,7 @@ from ddcrit.graphs import (
     is_connected,
     min_degree,
 )
+from ddcrit.harness import _RUNGS, GraphFacts, Hypotheses, analyze, compute_verdicts, decode_lines
 from ddcrit.matching import FactorCriticalityVerdict, ParityError, _maximum_matching_array
 
 
@@ -704,6 +706,33 @@ def full_pass(h, facts) -> bool:
     return True
 
 
+def per_line_scan(lines, hypotheses=Hypotheses(), depth: str = "full", cache=None):
+    """``harness.scan`` before it shared one record per class: every line
+    computes its own verdicts and report dict, with or without a cache."""
+    unset = Hypotheses()
+    fast, full = (
+        replace(hypotheses, **{name: getattr(unset, name) for name, is_fast, _ in _RUNGS if is_fast != half})
+        for half in (True, False)
+    )
+    take_full = depth == "full" or full != unset
+    for index, text, g in decode_lines(lines):
+        if isinstance(g, Graph6Error):
+            yield {"input_index": index, "graph6": text, "error": str(g)}
+            continue
+        facts = GraphFacts(g)
+        if not fast.holds(facts):
+            continue
+        if take_full:
+            report = analyze(facts, "full", cache=cache)
+            if not full.holds(facts):
+                continue
+        if depth == "fast":
+            report, verdicts = analyze(facts, "fast"), {}
+        else:
+            verdicts = compute_verdicts(facts)
+        yield {"input_index": index, "graph6": text, "report": report.to_json_dict(), "verdicts": verdicts}
+
+
 def unit_flow(g: Graph, s: int, t: int) -> int:
     """Number of internally vertex-disjoint s-t paths (s,t nonadjacent).
 
@@ -783,6 +812,20 @@ def graphs_upto(n: int, *, claw_free: bool = False) -> dict[int, list[Graph]]:
 
 def is_complete(g: Graph) -> bool:
     return g.edge_count() == g.n * (g.n - 1) // 2
+
+
+def path(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def star(leaves: int) -> Graph:
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def complement(g: Graph) -> Graph:

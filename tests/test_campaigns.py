@@ -31,7 +31,17 @@ from ddcrit.harness import (
     run_campaign,
     scan,
 )
-from oracles import eager_verdicts, fast_pass, four_critical, full_pass, lemma_gates, theorem1_hypotheses
+from oracles import (
+    cycle,
+    eager_verdicts,
+    fast_pass,
+    four_critical,
+    full_pass,
+    lemma_gates,
+    per_line_scan,
+    relabel,
+    theorem1_hypotheses,
+)
 
 # `ddcrit verify <check> --max-order 7` stdout, recorded before the checks
 # became demand driven
@@ -116,7 +126,7 @@ def test_theorem1_runs_expensive_tests_only_past_cheaper_hypotheses(monkeypatch)
         from_graph6(TWO_CONNECTED),
         from_graph6(NOT_CRITICAL),
     )
-    corpus = [family, h_6t(3), Graph.complete(9), Graph.cycle(9), outside, two_conn, not_crit]
+    corpus = [family, h_6t(3), Graph.complete(9), cycle(9), outside, two_conn, not_crit]
     connectivity = _count_calls(monkeypatch, "vertex_connectivity")
     criticality = _count_calls(monkeypatch, "_criticality_report")
     membership = _count_calls(monkeypatch, "is_in_family_H")
@@ -255,7 +265,7 @@ def test_memo_labels_its_graph_once(monkeypatch):
 
 
 def test_scan_computes_each_field_once(monkeypatch):
-    graphs = [h_r33(3), from_graph6(NOT_CRITICAL), Graph.cycle(9)]
+    graphs = [h_r33(3), from_graph6(NOT_CRITICAL), cycle(9)]
     lines = [to_graph6(g) + "\n" for g in graphs]
     connectivity = _count_calls(monkeypatch, "vertex_connectivity")
     hyp = Hypotheses(connected=True, min_connectivity=3, gamma2=4)
@@ -269,7 +279,7 @@ def test_scan_computes_each_field_once(monkeypatch):
 
 
 def test_scan_keeps_no_criticality_report_past_its_graph():
-    graphs = [h_r33(3), h_6t(3), from_graph6(NOT_CRITICAL), from_graph6(PASSES_OUTSIDE_FAMILY), Graph.cycle(7)]
+    graphs = [h_r33(3), h_6t(3), from_graph6(NOT_CRITICAL), from_graph6(PASSES_OUTSIDE_FAMILY), cycle(7)]
     harness._criticality_report.cache_clear()
     records = list(scan([to_graph6(g) + "\n" for g in graphs], depth="full"))
     assert len(records) == len(graphs)
@@ -323,6 +333,64 @@ def test_one_memo_per_graph_with_a_cache(tmp_path, monkeypatch):
     assert built == names and adopted == names
 
 
+def _three_relabelings_shuffled(graphs, seed):
+    """Each graph written three times as a seeded relabeling, in shuffled order."""
+    rng = random.Random(seed)
+    lines = []
+    for g in graphs:
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            lines.append(to_graph6(relabel(g, perm)) + "\n")
+    rng.shuffle(lines)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "hypotheses, depth",
+    [
+        (Hypotheses(), "full"),
+        (Hypotheses(), "fast"),
+        (Hypotheses(gamma2=4, min_connectivity=3), "full"),
+        (Hypotheses(critical=True, connected=True), "full"),
+    ],
+    ids=["no-flags", "depth-fast", "gamma2-4-connectivity-3", "critical-connected"],
+)
+def test_a_cached_scan_shares_each_class_record_as_the_per_line_loop_prints_it(
+    hypotheses, depth, connected_small, tmp_path
+):
+    lines = _three_relabelings_shuffled(connected_small, seed=27)
+    old_path, new_path = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old = [record_to_json(r) for r in per_line_scan(lines, hypotheses, depth, cache=ReportCache(old_path))]
+    new = [record_to_json(r) for r in scan(lines, hypotheses, depth, cache=ReportCache(new_path))]
+    assert new == old and new
+    # a fast scan takes no full report, so it writes no cache
+    assert new_path.exists() == old_path.exists() == (depth == "full")
+    if depth == "full":
+        assert new_path.read_bytes() == old_path.read_bytes()
+
+
+def test_a_scan_computes_verdicts_once_per_class_with_a_cache_and_once_per_line_without(
+    connected_small, tmp_path, monkeypatch
+):
+    calls = []
+    verdicts = harness.compute_verdicts
+
+    def counted(facts):
+        calls.append(facts.canonical_id)
+        return verdicts(facts)
+
+    monkeypatch.setattr(harness, "compute_verdicts", counted)
+    lines = _three_relabelings_shuffled(connected_small, seed=27)
+    records = list(scan(lines, cache=ReportCache(tmp_path / "c.jsonl")))
+    assert len(records) == len(lines)
+    assert sorted(calls) == sorted(canonical_key(g).decode("ascii") for g in connected_small)
+    small = [line for line in lines if from_graph6(line).n <= 5]
+    del calls[:]
+    assert [record_to_json(r) for r in scan(small)] == [record_to_json(r) for r in per_line_scan(small)]
+    assert len(calls) == len(small)
+
+
 def test_verify_with_cache_matches_and_then_hits(tmp_path, monkeypatch, capsys):
     path = tmp_path / "reports.jsonl"
     argv = ["verify", "theorem1", "--max-order", "7", "--cache", str(path)]
@@ -363,3 +431,35 @@ def test_theorem1_violations_replay_on_the_printed_graph_in_any_stream_order(mon
         examined = from_graph6(v["examined_graph6"])
         assert canonical_key(examined).decode("ascii") == v["graph6"]
         assert harness.replay_verdict(examined, "theorem1", v["verdict"])
+
+
+def test_a_cached_scan_prints_each_failing_line_its_own_witness(monkeypatch, tmp_path, capsys):
+    # with theorem1's hypotheses dropped, h_6t(3) fails it; each relabeled
+    # copy's witness replays on its own line and on neither other copy
+    monkeypatch.setattr(harness, "THEOREM1", Hypotheses())
+    rng = random.Random(27)
+    copies = []
+    for _ in range(3):
+        perm = list(range(9))
+        rng.shuffle(perm)
+        copies.append(to_graph6(relabel(h_6t(3), perm)))
+    source = tmp_path / "copies.g6"
+    source.write_text("".join(line + "\n" for line in copies))
+    assert main(["scan", str(source), "--cache", str(tmp_path / "c.jsonl")]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["graph6"] for r in records] == copies
+    for record in records:
+        verdict = record["verdicts"]["theorem1"]
+        assert verdict["status"] == crit.FAIL
+        replays = [harness.replay_verdict(from_graph6(line), "theorem1", verdict) for line in copies]
+        assert replays == [line == record["graph6"] for line in copies]
+
+
+@pytest.mark.parametrize("command", [["scan"], ["verify", "lemma1", "--input"]])
+def test_a_fail_whose_witness_does_not_replay_is_an_internal_error(command, monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(harness.CHECKS, "lemma1", lambda facts: {"status": crit.FAIL, "witness": {"diameter": 99}})
+    source = tmp_path / "c6.g6"
+    source.write_text(to_graph6(cycle(6)) + "\n")
+    assert main([*command, str(source)]) == 3  # not 1, "a check failed"
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal: RuntimeError: lemma1 fail on ") and err.count("\n") == 1

@@ -21,14 +21,14 @@ from ddcrit.graphs import (
     vertex_connectivity,
 )
 from ddcrit.matching import is_k_factor_critical_direct
-from oracles import degree, is_isomorphic, neighbors, odd_component_count
+from oracles import cycle, degree, is_isomorphic, neighbors, odd_component_count, path
 
 H_6_3_CANONICAL = b"HFGm]^|"  # pinned labeling class of the order-9 sharpness example
 
 
 def test_sequential_join_of_singletons_is_path():
     parts = [Graph.complete(1)] * 4
-    assert bool(is_isomorphic(sequential_join(parts), Graph.path(4)))
+    assert bool(is_isomorphic(sequential_join(parts), path(4)))
 
 
 def test_sequential_join_validation():
@@ -39,7 +39,7 @@ def test_sequential_join_validation():
 
 
 def test_sequential_join_edge_set_is_consecutive_joins():
-    a, b, c = Graph.complete(2), Graph.cycle(3), Graph.complete(1)
+    a, b, c = Graph.complete(2), cycle(3), Graph.complete(1)
     joined = sequential_join([a, b, c])
     expected = set()
     expected.update(a.edges())
@@ -54,7 +54,7 @@ def test_sequential_join_edge_set_is_consecutive_joins():
 
 def test_clique_chain_properties():
     g = clique_chain(1, 1, 1, 1)
-    assert bool(is_isomorphic(g, Graph.path(4)))
+    assert bool(is_isomorphic(g, path(4)))
     big = clique_chain(1, 4, 5, 1)
     assert big.n == 11
     assert min_degree(big) == 4

@@ -17,15 +17,18 @@ from ddcrit.constructions import h_6t, h_r33, h_r33_triple
 from ddcrit.domination import all_minimum_dds
 from ddcrit.graphs import Graph, add_edge, components, is_connected, min_degree, to_graph6
 from oracles import (
+    cycle,
+    path,
     per_augmentation_lemma45_profile,
     per_augmentation_minimum_sets,
     per_augmentation_observation1,
     per_edge_criticality_report,
+    star,
 )
 
 
 def test_p4_is_critical_with_value_4():
-    report = criticality_report(Graph.path(4))
+    report = criticality_report(path(4))
     assert report.gamma2 == 4
     assert report.is_critical and not report.vacuous
     assert all(e.drop >= 1 for e in report.per_nonedge)
@@ -63,7 +66,7 @@ def test_report_consistency(connected_small):
 
 
 def test_observation1_on_small_critical_graphs():
-    for g in (Graph.path(4), h_r33(3), Graph.cycle(5)):
+    for g in (path(4), h_r33(3), cycle(5)):
         report = criticality_report(g)
         if report.is_critical:
             assert check_observation1(g, report).ok
@@ -85,7 +88,7 @@ def test_observation1_drop2_clause_binds():
 
 
 def test_observation1_requires_critical_graph():
-    c6 = Graph.cycle(6)
+    c6 = cycle(6)
     assert not criticality_report(c6).is_critical
     with pytest.raises(ValueError):
         check_observation1(c6)
@@ -104,27 +107,27 @@ def test_lemma45_profile_on_family_graph():
 def test_lemma45_profile_many_components_mode():
     # the 3-leaf star is edge critical with value 4, and removing its center
     # leaves three components, so the single-endpoint profile applies
-    star = Graph.star(3)
-    report = criticality_report(star)
+    claw = star(3)
+    report = criticality_report(claw)
     assert report.is_critical and report.gamma2 == 4
-    result = check_lemma45_profile(star, {0}, 1, 2, report)
+    result = check_lemma45_profile(claw, {0}, 1, 2, report)
     assert result.status == PASS and result.mode == "many-components"
 
 
 def test_report_and_minimum_set_checks_share_one_walk():
-    star = Graph.star(3)
+    claw = star(3)
     _lowered.cache_clear()
-    report = criticality_report(star)
-    assert check_observation1(star, report).ok
+    report = criticality_report(claw)
+    assert check_observation1(claw, report).ok
     for x, y in ((1, 2), (1, 3), (2, 3)):
-        assert check_lemma45_profile(star, {0}, x, y, report).status == PASS
+        assert check_lemma45_profile(claw, {0}, x, y, report).status == PASS
     info = _lowered.cache_info()
     assert (info.misses, info.hits) == (1, 4)
 
 
 def test_lemma45_profile_guard_case():
     # cutting the middle of a path leaves two singletons: neither hypothesis fits
-    result = check_lemma45_profile(Graph.path(4), {1, 2}, 0, 3)
+    result = check_lemma45_profile(path(4), {1, 2}, 0, 3)
     assert result.status == NOT_APPLICABLE
 
 
@@ -135,7 +138,7 @@ def test_lemma45_profile_errors():
     with pytest.raises(ValueError):
         check_lemma45_profile(g, h_r33_triple(3), 0, 1)  # same component
     with pytest.raises(ValueError):
-        check_lemma45_profile(Graph.cycle(6), {0, 3}, 1, 4)  # not 4-critical
+        check_lemma45_profile(cycle(6), {0, 3}, 1, 4)  # not 4-critical
 
 
 def _lemma45_cases(connected_small):

@@ -6,13 +6,13 @@ import pytest
 from ddcrit.domination import all_minimum_dds, dds_of_size, dds_walk, gamma_xk, is_k_tuple_dominating
 from ddcrit.graphs import Graph, add_edge, is_connected
 from ddcrit.constructions import h_r33
-from oracles import brute_all_minimum_dds, brute_min_k_tuple_size, brute_near_dds
+from oracles import brute_all_minimum_dds, brute_min_k_tuple_size, brute_near_dds, cycle, path
 
 
 def test_is_k_tuple_dominating():
     k4 = Graph.complete(4)
     assert is_k_tuple_dominating(k4, {0, 1}, 2)
-    p4 = Graph.path(4)
+    p4 = path(4)
     assert not is_k_tuple_dominating(p4, {0, 1, 2}, 2)  # vertex 3 covered once
     with pytest.raises(ValueError):
         is_k_tuple_dominating(k4, {0}, 0)
@@ -21,9 +21,9 @@ def test_is_k_tuple_dominating():
 def test_gamma2_small_values():
     for n in range(2, 7):
         assert gamma_xk(Graph.complete(n), 2).size == 2
-    assert gamma_xk(Graph.path(4), 2).size == 4
-    assert gamma_xk(Graph.cycle(4), 2).size == 3
-    assert gamma_xk(Graph.cycle(5), 2).size == 4
+    assert gamma_xk(path(4), 2).size == 4
+    assert gamma_xk(cycle(4), 2).size == 3
+    assert gamma_xk(cycle(5), 2).size == 4
     assert gamma_xk(h_r33(3), 2).size == 4
 
 
@@ -37,7 +37,7 @@ def test_gamma_infeasible_is_a_result_not_a_number():
 
 
 def test_witness_revalidates():
-    for g in (Graph.path(4), Graph.cycle(5), h_r33(3), Graph.complete(6)):
+    for g in (path(4), cycle(5), h_r33(3), Graph.complete(6)):
         for k in (1, 2):
             result = gamma_xk(g, k)
             assert result.feasible
@@ -94,8 +94,8 @@ def test_all_minimum_dds_examples():
         frozenset({0, 2}),
         frozenset({1, 2}),
     ]
-    assert all_minimum_dds(Graph.path(4)) == [frozenset({0, 1, 2, 3})]
-    assert all_minimum_dds(Graph.cycle(4)) == [
+    assert all_minimum_dds(path(4)) == [frozenset({0, 1, 2, 3})]
+    assert all_minimum_dds(cycle(4)) == [
         frozenset({0, 1, 2}),
         frozenset({0, 1, 3}),
         frozenset({0, 2, 3}),
@@ -171,7 +171,7 @@ def test_three_vertex_test_on_tiny_graphs_and_isolated_vertices():
         Graph.complete(2): True,
         Graph.empty(3): False,
         Graph.from_edges(3, [(0, 1)]): False,
-        Graph.path(3): True,
+        path(3): True,
         Graph.complete(3): True,
     }
     assert {g: _at_most_3(g) for g in tiny} == tiny

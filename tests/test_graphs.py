@@ -28,6 +28,7 @@ from oracles import (
     brute_independence_number,
     closed_neighborhood,
     complement,
+    cycle,
     degree,
     equitable_refine,
     full_signature_refine,
@@ -36,8 +37,10 @@ from oracles import (
     is_isomorphic,
     neighbors,
     odd_component_count,
+    path,
     reference_canonical,
     relabel,
+    star,
     unit_flow,
 )
 
@@ -58,7 +61,7 @@ def test_graph_validation():
 
 
 def test_basic_accessors():
-    g = Graph.path(4)
+    g = path(4)
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
     assert degree(g, 1) == 2
     assert neighbors(g, 1) == {0, 2}
@@ -110,6 +113,54 @@ def test_graph6_roundtrip_exhaustive_small(graphs_small):
             assert from_graph6(to_graph6(g)) == g
 
 
+def _long_form(line: str) -> str:
+    """The '~'-prefixed long form of a short-form graph6 line."""
+    n = ord(line[0]) - 63
+    return "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0)) + line[1:]
+
+
+def test_decoded_graphs_pass_validation_and_bad_lines_raise_only_graph6_error(graphs_small):
+    # from_graph6 builds its graph without Graph's checks, so each graph it
+    # returns must equal the one the checks accept
+    def decoded(line: str) -> Graph:
+        g = from_graph6(line)
+        assert g == Graph(g.n, g.rows)
+        return g
+
+    rng = random.Random(20000)
+    lines = []
+    for n in range(1, 8):
+        for g in graphs_small[n]:
+            line = to_graph6(g)
+            assert decoded(line) == g and decoded(_long_form(line)) == g
+            lines += [line, _long_form(line)]
+    for n in (10, 33, 62, 63, 64):
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+        line = to_graph6(g)
+        assert decoded(line) == g
+        lines += [line] if n > 62 else [line, _long_form(line)]
+    alphabet = [chr(c) for c in range(128)] + ["\xe9", "\udce9"]
+    for _ in range(20000):
+        chars = list(rng.choice(lines))
+        at = rng.randrange(len(chars) + 1)
+        edit = rng.randrange(4)
+        if edit == 0 and at < len(chars):
+            chars[at] = rng.choice(alphabet)
+        elif edit == 1:
+            chars.insert(at, rng.choice(alphabet))
+        elif edit == 2 and at < len(chars):
+            del chars[at]
+        else:
+            del chars[at:]
+        text = "".join(chars)
+        try:
+            g = decoded(text)
+        except Graph6Error as exc:
+            assert 0 <= exc.offset <= len(text)
+        else:
+            assert from_graph6(to_graph6(g)) == g
+
+
 def test_graph6_roundtrip_random_large():
     rng = random.Random(42)
     for n in (10, 33, 62, 63, 64):
@@ -130,9 +181,9 @@ def test_graph6_roundtrip_random_large():
 
 
 def test_add_edge():
-    p4 = Graph.path(4)
+    p4 = path(4)
     c4 = add_edge(p4, 0, 3)
-    assert bool(is_isomorphic(c4, Graph.cycle(4)))
+    assert bool(is_isomorphic(c4, cycle(4)))
     assert p4.non_edges() == [(0, 2), (0, 3), (1, 3)]  # original untouched
     with pytest.raises(ValueError):
         add_edge(p4, 0, 0)
@@ -145,7 +196,7 @@ def test_add_edge():
 def test_add_chord_to_c5_gives_house():
     # all chords of a 5-cycle give the same 6-edge graph up to isomorphism
     keys = set()
-    c5 = Graph.cycle(5)
+    c5 = cycle(5)
     for u, v in c5.non_edges():
         keys.add(canonical_key(add_edge(c5, u, v)))
     assert len(keys) == 1
@@ -155,7 +206,7 @@ def test_complement():
     assert complement(Graph.complete(5)) == Graph.empty(5)
     g = Graph.from_edges(5, [(0, 1), (2, 3), (1, 4)])
     assert complement(complement(g)) == g
-    assert bool(is_isomorphic(complement(Graph.cycle(5)), Graph.cycle(5)))
+    assert bool(is_isomorphic(complement(cycle(5)), cycle(5)))
 
 
 def test_closed_neighborhood():
@@ -163,23 +214,23 @@ def test_closed_neighborhood():
     assert closed_neighborhood(k4, 2) == {0, 1, 2, 3}
     g = Graph.from_edges(3, [(1, 2)])  # K1 + K2
     assert closed_neighborhood(g, 0) == {0}
-    assert closed_neighborhood(Graph.path(4), 1) == {0, 1, 2}
+    assert closed_neighborhood(path(4), 1) == {0, 1, 2}
     with pytest.raises(ValueError):
         closed_neighborhood(k4, 7)
 
 
 def test_min_degree():
     assert min_degree(Graph.complete(5)) == 4
-    assert min_degree(Graph.star(3)) == 1
+    assert min_degree(star(3)) == 1
 
 
 def test_components_and_odd_count():
     g = Graph.from_edges(3, [(1, 2)])
     assert components(g) == [frozenset({0}), frozenset({1, 2})]
-    assert components(Graph.cycle(6)) == [frozenset(range(6))]
+    assert components(cycle(6)) == [frozenset(range(6))]
     assert odd_component_count(Graph.complete(4)) == 0
-    assert odd_component_count(Graph.star(3), {0}) == 3
-    assert odd_component_count(Graph.cycle(6), {0, 3}) == 0
+    assert odd_component_count(star(3), {0}) == 3
+    assert odd_component_count(cycle(6), {0, 3}) == 0
 
 
 def test_odd_component_parity_invariant():
@@ -194,7 +245,7 @@ def test_odd_component_parity_invariant():
 
 
 def test_diameter():
-    assert diameter(Graph.path(4)) == 3
+    assert diameter(path(4)) == 3
     assert diameter(Graph.complete(7)) == 1
     assert diameter(Graph.complete(1)) == 0
     assert diameter(Graph.from_edges(3, [(1, 2)])) is None
@@ -212,8 +263,8 @@ def test_diameter_one_iff_complete(graphs_small):
 def test_vertex_connectivity_basics():
     assert vertex_connectivity(Graph.complete(5)) == 4
     assert vertex_connectivity(Graph.complete(2)) == 1
-    assert vertex_connectivity(Graph.cycle(6)) == 2
-    assert vertex_connectivity(Graph.path(5)) == 1
+    assert vertex_connectivity(cycle(6)) == 2
+    assert vertex_connectivity(path(5)) == 1
     assert vertex_connectivity(Graph.from_edges(4, [(0, 1), (2, 3)])) == 0
     with pytest.raises(ValueError):
         vertex_connectivity(Graph.complete(1))
@@ -294,12 +345,12 @@ def test_vertex_connectivity_pinned():
 
 
 def test_is_k1r_free():
-    free, witness = is_k1r_free(Graph.star(3), 3)
+    free, witness = is_k1r_free(star(3), 3)
     assert not free and witness.center == 0 and witness.leaves == (1, 2, 3)
-    assert is_k1r_free(Graph.cycle(5), 3) == (True, None)
-    assert is_k1r_free(Graph.star(3), 4) == (True, None)
+    assert is_k1r_free(cycle(5), 3) == (True, None)
+    assert is_k1r_free(star(3), 4) == (True, None)
     with pytest.raises(ValueError):
-        is_k1r_free(Graph.path(3), 1)
+        is_k1r_free(path(3), 1)
 
 
 def test_k1r_witness_is_induced_star(graphs_small):
@@ -317,9 +368,9 @@ def test_k1r_witness_is_induced_star(graphs_small):
 
 
 def test_independence_number_examples():
-    assert independence_number(Graph.star(3))[0] == 3
+    assert independence_number(star(3))[0] == 3
     assert independence_number(Graph.complete(6))[0] == 1
-    assert independence_number(Graph.cycle(5))[0] == 2
+    assert independence_number(cycle(5))[0] == 2
 
 
 def test_independence_number_against_oracle(graphs_small):
@@ -337,8 +388,8 @@ def test_independence_number_against_oracle(graphs_small):
 def test_canonical_key_label_invariance():
     rng = random.Random(11)
     specimens = [
-        Graph.cycle(5),
-        Graph.star(4),
+        cycle(5),
+        star(4),
         Graph.complete(7),
         Graph.empty(6),
         Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if (u + v) % 3]),
@@ -479,20 +530,20 @@ def test_canonical_matches_reference_on_symmetric_graphs():
     _assert_canonical_matches_reference(chang.rows, chang.n)
     rng = random.Random(29)
     k33 = Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
-    c3, c4 = Graph.cycle(3), Graph.cycle(4)
+    c3, c4 = cycle(3), cycle(4)
     specimens = [
         _petersen(),
         _rook_3x3(),
         _hypercube(4),
         _disjoint_union(c3, c4, c3, c4),
         _disjoint_union(c3, c3, c4),
-        _disjoint_union(c3, c4, Graph.cycle(5)),
-        _disjoint_union(Graph.cycle(6), c3, c3),
+        _disjoint_union(c3, c4, cycle(5)),
+        _disjoint_union(cycle(6), c3, c3),
         _disjoint_union(Graph.complete(4), k33, Graph.complete(4)),
         _chang(),
     ]
     for n in range(3, 13):
-        specimens += [Graph.cycle(n), Graph.complete(n)]
+        specimens += [cycle(n), Graph.complete(n)]
     for g in specimens:
         for h in (g, complement(g)):
             for _ in range(4):
@@ -540,10 +591,10 @@ def test_cell_local_refinement_matches_oracle_on_random_graphs():
 
 
 def test_is_isomorphic():
-    c5 = Graph.cycle(5)
+    c5 = cycle(5)
     cert = is_isomorphic(c5, complement(c5))
     assert cert and cert.mapping is not None
-    assert not is_isomorphic(Graph.complete(4), Graph.cycle(4))
+    assert not is_isomorphic(Graph.complete(4), cycle(4))
     g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
     assert is_isomorphic(g, g).mapping is not None
 
@@ -566,11 +617,11 @@ def test_is_isomorphic_mapping_is_edge_exact():
 
 def test_relabel_rejects_non_permutation():
     with pytest.raises(ValueError):
-        relabel(Graph.path(3), (0, 0, 2))
+        relabel(path(3), (0, 0, 2))
 
 
 def test_is_connected():
-    assert is_connected(Graph.path(5))
+    assert is_connected(path(5))
     assert not is_connected(Graph.from_edges(2, []))
 
 

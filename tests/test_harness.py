@@ -24,6 +24,7 @@ from ddcrit.harness import (
     scan,
 )
 from lemma789 import verify_lemma7_8_9
+from oracles import cycle, path, star
 
 
 def _lines(graphs):
@@ -89,7 +90,7 @@ def test_verdicts_on_clique_chain():
 
 
 def test_verdicts_on_plain_graph():
-    g = Graph.cycle(6)
+    g = cycle(6)
     verdicts = compute_verdicts(GraphFacts(g))
     assert all(v["status"] in (PASS, NOT_APPLICABLE) for v in verdicts.values())
     assert verdicts["lemma1"]["status"] == NOT_APPLICABLE
@@ -125,7 +126,7 @@ def test_replay_accepts_pass_and_rejects_bogus_witnesses():
 def test_replay_confirms_genuine_failure_mechanics():
     # star with four leaves: deleting the center and two leaves strands the
     # others, a genuine matching failure, so the witness replays
-    g = Graph.star(4)
+    g = star(4)
     assert replay_verdict(g, "theorem1", {"status": FAIL, "witness": {"failing_3_set": [0, 1, 2]}})
 
 
@@ -157,7 +158,7 @@ def test_scan_empty_stream():
 
 
 def test_scan_hypothesis_filters():
-    graphs = [h_r33(3), Graph.complete(9), Graph.cycle(9), h_6t(3)]
+    graphs = [h_r33(3), Graph.complete(9), cycle(9), h_6t(3)]
     lines = _lines(graphs)
     hyp = Hypotheses(
         connected=True,
@@ -224,9 +225,9 @@ def test_scan_surfaces_family_class_under_main_hypotheses(theorem1_corpus):
 def test_campaigns_on_singleton_corpora():
     from ddcrit.harness import run_campaign
 
-    p4 = run_campaign("lemma1", [Graph.path(4)])
+    p4 = run_campaign("lemma1", [path(4)])
     assert p4.passed == 1 and p4.extras["diameter_counts"] == {3: 1}
-    c6 = run_campaign("lemma1", [Graph.cycle(6)])
+    c6 = run_campaign("lemma1", [cycle(6)])
     assert c6.not_applicable == 1 and c6.ok
     family = run_campaign("theorem1", [h_r33(5)])
     assert family.passed == 1
@@ -250,7 +251,7 @@ def test_lemma789_on_family_members():
 def test_lemma789_not_applicable_cases():
     assert verify_lemma7_8_9(Graph.complete(9)).status == NOT_APPLICABLE  # 3fc holds
     assert verify_lemma7_8_9(h_6t(3)).status == NOT_APPLICABLE  # has a claw
-    assert verify_lemma7_8_9(Graph.cycle(9)).status == NOT_APPLICABLE  # low degree
+    assert verify_lemma7_8_9(cycle(9)).status == NOT_APPLICABLE  # low degree
 
 
 # -- cache ------------------------------------------------------------------------
@@ -430,7 +431,7 @@ def test_cli_construct_builds_each_family(capsys):
 
 
 def test_cli_gamma2_and_factor_critical():
-    g6 = to_graph6(Graph.path(4))
+    g6 = to_graph6(path(4))
     result = run_cli(["gamma2", g6])
     assert json.loads(result.stdout) == {
         "input_index": 0,
@@ -447,7 +448,7 @@ def test_cli_gamma2_and_factor_critical():
 
 
 def test_cli_critical_subcommand():
-    result = run_cli(["critical", to_graph6(Graph.path(4))])
+    result = run_cli(["critical", to_graph6(path(4))])
     record = json.loads(result.stdout)
     assert record["critical"] is True and record["gamma2"] == 4
     assert all(e["drop"] >= 1 for e in record["per_nonedge"])

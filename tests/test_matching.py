@@ -6,12 +6,14 @@ from ddcrit.constructions import clique_chain, h_6t, h_r33, h_r33_triple
 from oracles import (
     EnumerationBoundError,
     brute_max_matching_size,
+    cycle,
     exists_augmenting_path,
     has_perfect_matching,
     is_k_factor_critical_favaron,
     is_matching,
     matching_number,
     maximum_matching,
+    star,
 )
 
 
@@ -23,8 +25,8 @@ def petersen() -> Graph:
 
 
 def test_maximum_matching_small():
-    assert len(maximum_matching(Graph.cycle(4))) == 2
-    assert len(maximum_matching(Graph.cycle(5))) == 2
+    assert len(maximum_matching(cycle(4))) == 2
+    assert len(maximum_matching(cycle(5))) == 2
     assert len(maximum_matching(petersen())) == 5
     m = maximum_matching(Graph.complete(7))
     assert len(m) == 3 and is_matching(Graph.complete(7), m)
@@ -48,7 +50,7 @@ def test_berge_no_augmenting_path(graphs_small):
 
 def test_has_perfect_matching():
     assert has_perfect_matching(Graph.complete(4))
-    assert not has_perfect_matching(Graph.star(3))
+    assert not has_perfect_matching(star(3))
     assert not has_perfect_matching(Graph.complete(5))
 
 
@@ -79,16 +81,16 @@ def test_direct_factor_criticality():
 def test_favaron_factor_criticality():
     assert is_k_factor_critical_favaron(Graph.complete(5), 1).holds
     # star with four leaves: deleting the center leaves four odd components
-    verdict = is_k_factor_critical_favaron(Graph.star(4), 1)
+    verdict = is_k_factor_critical_favaron(star(4), 1)
     assert not verdict.holds and verdict.witness_failure == frozenset({0})
     with pytest.raises(ParityError):
-        is_k_factor_critical_favaron(Graph.star(3), 1)
+        is_k_factor_critical_favaron(star(3), 1)
     with pytest.raises(EnumerationBoundError):
         is_k_factor_critical_favaron(Graph.complete(22), 0)
 
 
 def test_failure_witnesses_revalidate():
-    for g, k in ((h_r33(3), 3), (h_6t(3), 3), (Graph.star(4), 1)):
+    for g, k in ((h_r33(3), 3), (h_6t(3), 3), (star(4), 1)):
         verdict = is_k_factor_critical_direct(g, k)
         assert not verdict.holds
         removed = verdict.witness_failure
@@ -137,5 +139,5 @@ def test_odd_order_k14_free_critical_graphs_are_factor_critical(
 
 
 def test_matching_number_matches_maximum_matching():
-    for g in (Graph.cycle(7), petersen(), Graph.star(5)):
+    for g in (cycle(7), petersen(), star(5)):
         assert matching_number(g) == len(maximum_matching(g))

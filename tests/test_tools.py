@@ -17,3 +17,16 @@ def test_paired_cpu_runs_two_pairs_of_one_command():
     assert re.search(r"cpu ratio new/old: median [0-9.]+, quartiles [0-9.]+-[0-9.]+; new lower in [012] of 2", result.stdout)
     assert re.search(r"peak_rss median: old [0-9.]+ MB, new [0-9.]+ MB", result.stdout)
     assert lines[-1] == "same stdout and exit status in 2 of 2 pairs"
+
+
+def test_paired_cpu_gives_each_side_and_pair_a_fresh_cache_of_its_own(tmp_path):
+    tool = ROOT / "tools" / "paired_cpu.py"
+    source, shared = tmp_path / "in.g6", tmp_path / "shared.jsonl"
+    source.write_text("HwCZ|z\\\nHhCK[rM\nHwCZ|z\\\n")  # two copies of one class beside another
+    argv = [sys.executable, str(tool), str(ROOT), str(ROOT), "--pairs", "2"]
+    argv += ["--", "scan", str(source), "--cache", str(shared)]
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[-2:] == ["same stdout and exit status in 2 of 2 pairs", "same cache file in 2 of 2 pairs"]
+    assert not shared.exists()
