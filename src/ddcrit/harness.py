@@ -17,9 +17,9 @@ cache, the memo adopts the cached full report (computed once per class).
 Scan output is JSONL, one record per surviving input line, deterministic for
 a fixed input order and flag set. A scan streams: it reads one input line
 at a time and emits its record before reading the next. Every verdict but a
-fail's witness is an isomorphism invariant, so with a cache the later lines of
-a class share its first record when that has no fail (see ``scan``). Every
-fail is replayed on its own graph before it is reported.
+fail's witness is an isomorphism invariant, so with a cache, once a class
+without a fail repeats, its later lines share one record (see ``scan``).
+Every fail is replayed on its own graph before it is reported.
 """
 
 from __future__ import annotations
@@ -470,9 +470,13 @@ def decode_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, Union[Graph, 
 
 class _SharedRecord(dict):
     """A scan record sharing its class's report and verdicts (read-only);
-    ``tail`` is their JSON text, which ``record_to_json`` splices in."""
+    ``tail`` is their JSON text, which ``record_to_json`` splices in. A copy
+    or a pickle of one is a plain dict, printed from its own contents."""
 
     __slots__ = ("tail",)
+
+    def __reduce__(self):
+        return dict, (dict(self),)
 
 
 def _confirm(g: Graph, name: str, verdict: dict) -> None:
@@ -492,9 +496,13 @@ def scan(
     Malformed lines yield error records and scanning continues. Lines are
     read lazily: a record is yielded before the line after it is read, so
     without a cache a scan holds one graph at a time however long its input.
-    With a cache, a full scan keeps the first record of each class without a
-    fail, one per class the cache holds; later lines of the class, still
-    decoded, labeled and looked up, share its report, verdicts and JSON text.
+
+    With a cache, a full scan notes the canonical id of each class without a
+    fail it meets. From the second line of a class on, it keeps one record
+    of the class and shares it: later lines, still decoded, labeled and
+    looked up, skip the verdicts and the JSON. Such records share one
+    ``report`` dict and one ``verdicts`` dict, so treat them as read-only;
+    ``record_to_json`` prints the text stored with them, not their edits.
     """
     if depth not in ("fast", "full"):
         raise ValueError("depth must be 'fast' or 'full'")
@@ -506,7 +514,8 @@ def scan(
         for half in (True, False)
     )
     take_full = depth == "full" or full != unset
-    shared: dict[str, tuple[dict, dict, str]] = {}  # canonical id: report, verdicts, JSON text
+    # canonical id: None once met, then its report, verdicts and JSON text
+    shared: dict[str, Optional[tuple[dict, dict, str]]] = {}
     for index, text, g in decode_lines(lines):
         if isinstance(g, Graph6Error):
             yield {"input_index": index, "graph6": text, "error": str(g)}
@@ -522,16 +531,22 @@ def scan(
         if depth == "fast":
             report, verdicts = analyze(facts, "fast"), {}
         else:
-            entry = shared.get(report.canonical_id)
+            key = report.canonical_id
+            entry = shared.get(key)
             if entry is None:
                 verdicts = compute_verdicts(facts)
                 fails = [name for name, verdict in verdicts.items() if verdict["status"] == FAIL]
                 for name in fails:
                     _confirm(g, name, verdicts[name])
                 if cache is not None and not fails:
-                    body = {"report": report.to_json_dict(), "verdicts": verdicts}
-                    # the record's text after its graph6 and index, as the keys sort
-                    entry = shared[report.canonical_id] = (body["report"], verdicts, record_to_json(body)[1:])
+                    if key not in shared:
+                        # a class met once keeps only its key: in a stream of
+                        # distinct classes, a stored record would go unused
+                        shared[key] = None
+                    else:
+                        body = {"report": report.to_json_dict(), "verdicts": verdicts}
+                        # the record's text after its graph6 and index, as the keys sort
+                        entry = shared[key] = (body["report"], verdicts, record_to_json(body)[1:])
             if entry is not None:
                 record = _SharedRecord(input_index=index, graph6=text, report=entry[0], verdicts=entry[1])
                 record.tail = entry[2]
@@ -542,8 +557,9 @@ def scan(
 
 def record_to_json(record: dict) -> str:
     """A record's JSON text, keys sorted; a shared record splices in its tail."""
-    if type(record) is _SharedRecord:
-        return f'{{"graph6":{json.dumps(record["graph6"])},"input_index":{record["input_index"]},{record.tail}'
+    tail = getattr(record, "tail", None)
+    if tail is not None:
+        return f'{{"graph6":{json.dumps(record["graph6"])},"input_index":{record["input_index"]},{tail}'
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 

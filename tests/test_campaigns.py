@@ -2,6 +2,7 @@
 output, and proof that expensive invariants run only where a verdict needs
 them."""
 
+import copy
 import itertools
 import json
 import random
@@ -370,9 +371,8 @@ def test_a_cached_scan_shares_each_class_record_as_the_per_line_loop_prints_it(
         assert new_path.read_bytes() == old_path.read_bytes()
 
 
-def test_a_scan_computes_verdicts_once_per_class_with_a_cache_and_once_per_line_without(
-    connected_small, tmp_path, monkeypatch
-):
+def _counted_verdicts(monkeypatch):
+    """The canonical id of each memo ``compute_verdicts`` is called with."""
     calls = []
     verdicts = harness.compute_verdicts
 
@@ -381,11 +381,51 @@ def test_a_scan_computes_verdicts_once_per_class_with_a_cache_and_once_per_line_
         return verdicts(facts)
 
     monkeypatch.setattr(harness, "compute_verdicts", counted)
+    return calls
+
+
+def test_a_cached_scan_computes_verdicts_on_two_lines_of_a_class_and_shares_them_from_there(
+    connected_small, tmp_path, monkeypatch
+):
+    calls = _counted_verdicts(monkeypatch)
     lines = _three_relabelings_shuffled(connected_small, seed=27)
     records = list(scan(lines, cache=ReportCache(tmp_path / "c.jsonl")))
     assert len(records) == len(lines)
-    assert sorted(calls) == sorted(canonical_key(g).decode("ascii") for g in connected_small)
-    small = [line for line in lines if from_graph6(line).n <= 5]
+    keys = [canonical_key(g).decode("ascii") for g in connected_small]
+    assert sorted(calls) == sorted(keys * 2)
+    by_class = {}
+    for record in records:
+        by_class.setdefault(record["report"]["canonical_id"], []).append(record)
+    for first, second, third in by_class.values():
+        # the first line keeps nothing; the second stores what the third shares
+        assert first["report"] is not second["report"] and first["verdicts"] is not second["verdicts"]
+        assert second["report"] is third["report"] and second["verdicts"] is third["verdicts"]
+        for record in (second, third):
+            text = record_to_json(record)
+            assert text == record_to_json(dict(record)) == record_to_json(copy.copy(record))
+            assert json.loads(text) == json.loads(record_to_json(first)) | {
+                "graph6": record["graph6"],
+                "input_index": record["input_index"],
+            }
+        # a deep copy is the caller's own, printed as edited
+        mine = copy.deepcopy(third)
+        mine["verdicts"]["lemma1"] = {"status": "edited"}
+        assert json.loads(record_to_json(mine))["verdicts"]["lemma1"] == {"status": "edited"}
+        assert json.loads(record_to_json(third)) == json.loads(record_to_json(second)) | {
+            "graph6": third["graph6"],
+            "input_index": third["input_index"],
+        }
+
+
+def test_a_scan_computes_verdicts_on_every_line_of_distinct_classes_or_without_a_cache(
+    connected_small, tmp_path, monkeypatch
+):
+    calls = _counted_verdicts(monkeypatch)
+    distinct = [to_graph6(g) + "\n" for g in connected_small]
+    records = list(scan(distinct, cache=ReportCache(tmp_path / "c.jsonl")))
+    assert len(calls) == len(records) == len(distinct)
+    assert len({id(record["report"]) for record in records}) == len(records)
+    small = [line for line in _three_relabelings_shuffled(connected_small, seed=27) if from_graph6(line).n <= 5]
     del calls[:]
     assert [record_to_json(r) for r in scan(small)] == [record_to_json(r) for r in per_line_scan(small)]
     assert len(calls) == len(small)

@@ -15,15 +15,16 @@ process holding almost nothing, which forks the command and reaps it with
 ``os.wait4``: the CPU time and peak RSS are the command's own, not mixed
 with this script's memory or with earlier children.
 
-A ``--cache PATH`` among ARGS names no shared file: each side, in each pair,
-gets a fresh empty cache file in a temporary directory instead, so neither
-side reads what the other wrote, and PATH is left untouched.
+A ``--cache PATH`` (or ``--cache=PATH``) among ARGS names no shared file:
+each side, in each pair, gets a fresh empty cache file in a temporary
+directory instead, so neither side reads what the other wrote, and PATH is
+left untouched.
 
 Prints one line per pair, then the median and quartiles of NEW's CPU time
 over OLD's, in how many pairs NEW took less, both sides' median CPU time and
 peak RSS, and in how many pairs both printed the same stdout with the same
 exit status (and, with ``--cache``, wrote the same cache file). Exit status:
-0 when they printed the same in every pair, 1 otherwise.
+0 when they printed (and wrote) the same in every pair, 1 otherwise.
 """
 
 # The launcher imports only these; the rest are imported in ``main``.
@@ -80,7 +81,12 @@ def main(argv=None) -> int:
         if not compileall.compile_dir(str(tree / "src" / "ddcrit"), quiet=1):
             parser.error(f"{name}: cannot byte-compile {tree / 'src' / 'ddcrit'}")
 
-    caching = "--cache" in command[:-1]
+    # where the cache path sits among the arguments: the token after a
+    # separate ``--cache``, or the one token ``--cache=PATH``
+    caching = next(
+        (i for i, arg in enumerate(command) if arg.startswith("--cache=") or (arg == "--cache" and i + 1 < len(command))),
+        None,
+    )
     same_cache = 0
     results: dict[str, list[tuple[int, float, float, float, bytes]]] = {name: [] for name in sides}
     with tempfile.TemporaryDirectory(prefix="paired_cpu.") as work:
@@ -90,9 +96,12 @@ def main(argv=None) -> int:
             for name in order:
                 out, err, cache = (os.path.join(work, f"{name}.{stream}") for stream in ("out", "err", "cache"))
                 side_command = list(command)
-                if caching:  # a fresh empty cache of this side's own
+                if caching is not None:  # a fresh empty cache of this side's own
                     Path(cache).write_bytes(b"")
-                    side_command[side_command.index("--cache") + 1] = cache
+                    if command[caching] == "--cache":
+                        side_command[caching + 1] = cache
+                    else:
+                        side_command[caching] = f"--cache={cache}"
                 env = dict(os.environ, PYTHONPATH=str(sides[name] / "src"), PYTHONHASHSEED="0")
                 launcher = [sys.executable, "-S", os.path.abspath(__file__), "--launch", str(args.cpu), out, err]
                 command_line = launcher + [sys.executable, "-m", "ddcrit", *side_command]
@@ -101,7 +110,7 @@ def main(argv=None) -> int:
                 status, wall, cpu, rss_kib = proc.communicate()[0].split()
                 stdout = Path(work, f"{name}.out").read_bytes()
                 results[name].append((int(status), float(wall), float(cpu), int(rss_kib) / 1024, stdout))
-            if caching:
+            if caching is not None:
                 same_cache += Path(work, "old.cache").read_bytes() == Path(work, "new.cache").read_bytes()
             old, new = results["old"][-1], results["new"][-1]
             print(
@@ -119,9 +128,10 @@ def main(argv=None) -> int:
         old, new = (statistics.median(run[index] for run in results[name]) for name in ("old", "new"))
         print(f"{metric} median: old {old:.4g} {unit}, new {new:.4g} {unit}")
     print(f"same stdout and exit status in {same} of {args.pairs} pairs")
-    if caching:
-        print(f"same cache file in {same_cache} of {args.pairs} pairs")
-    return 0 if same == args.pairs else 1
+    if caching is None:
+        return 0 if same == args.pairs else 1
+    print(f"same cache file in {same_cache} of {args.pairs} pairs")
+    return 0 if same == same_cache == args.pairs else 1
 
 
 if __name__ == "__main__":
